@@ -398,23 +398,34 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// The cluster configuration of one explored execution of `scenario`
+/// with `policy` resolving every choice point.
+fn scenario_config(
+    scenario: &ExploreScenario,
+    mutation: ProtocolMutation,
+    policy: &ExplorePolicy,
+) -> ClusterConfig {
+    let config = ClusterConfig::new(scenario.nodes)
+        .with_race_detection()
+        .with_event_budget(EXEC_EVENT_BUDGET)
+        .with_mutation(mutation)
+        .with_directory_shards(scenario.dir_shards)
+        .with_schedule_policy(SchedulePolicyHandle::new(policy.clone()));
+    if scenario.with_faults {
+        config.with_fault_plan(crash_plan())
+    } else {
+        config
+    }
+}
+
 /// Runs `scenario` once under `mode`, recording every decision point and
 /// the value-carrying access stream. Panics (deadlock, event-budget
 /// blowout, simulated segfault) are caught and reported as part of the
 /// execution — under a mutated protocol they count as a detection.
 fn run_once(scenario: &ExploreScenario, mutation: ProtocolMutation, mode: Mode) -> Execution {
     let policy = ExplorePolicy::new(mode);
-    let handle = SchedulePolicyHandle::new(policy.clone());
     let setup = scenario.setup;
-    let mut config = ClusterConfig::new(scenario.nodes)
-        .with_race_detection()
-        .with_event_budget(EXEC_EVENT_BUDGET)
-        .with_mutation(mutation)
-        .with_directory_shards(scenario.dir_shards)
-        .with_schedule_policy(handle);
-    if scenario.with_faults {
-        config = config.with_fault_plan(crash_plan());
-    }
+    let config = scenario_config(scenario, mutation, &policy);
     // Panics here are expected outcomes (deadlock detection, event-budget
     // livelock guards under mutated protocols) and are reported through
     // the judge — silence the default hook's backtrace spew for the
@@ -892,6 +903,30 @@ mod tests {
                 scenario.name
             );
         }
+    }
+
+    #[test]
+    fn random_walk_schedule_matches_fixture() {
+        // One execution of `invalidate` under a seeded random policy: the
+        // engine's recorded schedule must match the committed fixture
+        // byte for byte, pinning policy-driven scheduling across engine
+        // changes.
+        let scenario = find_explore_scenario("invalidate").expect("scenario registered");
+        let policy = ExplorePolicy::new(Mode::Random {
+            rng: SimRng::new(7),
+        });
+        let config =
+            scenario_config(&scenario, ProtocolMutation::None, &policy).with_schedule_recording();
+        let report = Cluster::new(config).run(scenario.setup);
+        assert!(
+            policy.taken().iter().any(|c| c.picked != 0),
+            "the random walk leaves the default schedule"
+        );
+        let text = report.schedule.expect("schedule recording was enabled");
+        assert_eq!(
+            text,
+            include_str!("../tests/fixtures/explore_invalidate_random7.schedule")
+        );
     }
 
     #[test]

@@ -568,8 +568,8 @@ impl ProcessShared {
     }
 
     /// Reads bytes from the cluster-wide *up-to-date* view of memory:
-    /// each page is sourced from its current exclusive writer, or the
-    /// origin replica otherwise. Used to collect results after a run.
+    /// each page is sourced from the node [`Self::up_to_date_node`]
+    /// names. Used to collect results after a run.
     pub fn read_coherent(&self, addr: VirtAddr, dst: &mut [u8]) {
         let mut cursor = addr;
         let mut filled = 0usize;
@@ -585,19 +585,25 @@ impl ProcessShared {
         }
     }
 
-    fn up_to_date_node(&self, _vpn: Vpn) -> NodeId {
-        // The directory does not expose writer lookup publicly; consult
-        // per-node PTEs instead: a node with a writable mapping holds the
-        // authoritative copy.
+    /// The node holding an up-to-date copy of `vpn`, judged from per-node
+    /// PTEs (the directory does not expose writer lookup publicly): a
+    /// writable mapping first, else the origin if it maps the page, else
+    /// any present read-only replica, else the origin. A frame the node
+    /// does not map may be stale — its copy was invalidated — so the
+    /// origin's frame is trusted only when nothing maps the page.
+    fn up_to_date_node(&self, vpn: Vpn) -> NodeId {
+        let mut replica = None;
         for n in 0..self.nodes {
             let node = NodeId(n as u16);
-            let space = self.space(node).lock();
-            let pte = space.page_table.entry(_vpn);
+            let pte = self.space(node).lock().page_table.entry(vpn);
             if pte.present && pte.writable {
                 return node;
             }
+            if pte.present && (replica.is_none() || node == self.origin) {
+                replica = Some(node);
+            }
         }
-        self.origin
+        replica.unwrap_or(self.origin)
     }
 
     // ---- pending request plumbing ----
@@ -980,5 +986,34 @@ mod tests {
         let mut buf = [0u8; 8];
         p.read_coherent(addr, &mut buf);
         assert_eq!(buf, [9; 8]);
+    }
+
+    #[test]
+    fn read_coherent_skips_an_unmapped_origin_frame() {
+        let p = shared(3);
+        let addr = p.alloc_raw(8, 8, None);
+        p.write_init(addr, &[1; 8]);
+        // The origin's copy was invalidated (stale frame, no mapping);
+        // node 2 holds the current value as a read-only replica.
+        {
+            let mut s2 = p.space(NodeId(2)).lock();
+            s2.write(addr, &[7; 8]);
+            s2.page_table.set(addr.vpn(), dex_os::Pte::READ_ONLY);
+            p.space(NodeId(0)).lock().page_table.clear(addr.vpn());
+        }
+        let mut buf = [0u8; 8];
+        p.read_coherent(addr, &mut buf);
+        assert_eq!(buf, [7; 8]);
+
+        // Once the origin maps the page again it is preferred over other
+        // read-only replicas.
+        {
+            let mut s0 = p.space(NodeId(0)).lock();
+            s0.write(addr, &[7; 8]);
+            s0.page_table.set(addr.vpn(), dex_os::Pte::READ_ONLY);
+            p.space(NodeId(2)).lock().write(addr, &[3; 8]);
+        }
+        p.read_coherent(addr, &mut buf);
+        assert_eq!(buf, [7; 8]);
     }
 }

@@ -2,16 +2,24 @@
 //!
 //! # Execution model
 //!
-//! Simulated threads are real OS threads that run **one at a time** under a
-//! strict handshake with the engine's driver loop: the driver resumes a
-//! thread, then blocks until that thread yields back (by advancing virtual
-//! time, parking, or exiting). All inter-thread ordering is decided by a
-//! single event queue ordered by `(virtual time, sequence number)`, so a
-//! simulation is fully deterministic regardless of host scheduling.
+//! Simulated threads are real OS threads that run **one at a time**. All
+//! inter-thread ordering is decided by a single event queue ordered by
+//! `(virtual time, sequence number)`, so a simulation is fully
+//! deterministic regardless of host scheduling.
 //!
-//! Because exactly one simulated thread runs at any moment (and the driver
-//! is blocked while it does), simulated threads may freely share state via
-//! ordinary `Mutex`es — the locks are never contended.
+//! Control passes by direct handoff. A thread that yields (by advancing
+//! virtual time, parking, or exiting) locks the engine state and runs the
+//! scheduling step itself: it accepts the next event, wakes that event's
+//! thread, and sleeps until its own turn comes back. When the next event
+//! is its own, it keeps running without any wake-up. The driver in
+//! [`Engine::run`] runs the same step to start the run, and otherwise only
+//! acts on what must not happen on a simulated thread: firing the sampler
+//! when an accepted event crosses a window boundary, an empty queue or
+//! exhausted event budget, a panic, and shutdown.
+//!
+//! Because exactly one thread — simulated or driver — runs at any moment,
+//! simulated threads may freely share state via ordinary `Mutex`es — the
+//! locks are never contended.
 //!
 //! # Thread lifecycle
 //!
@@ -29,11 +37,10 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::mpsc;
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Thread};
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::replay::ScheduleLog;
 use crate::time::{SimDuration, SimTime};
@@ -185,33 +192,36 @@ enum ParkState {
     ParkedScheduled,
 }
 
-enum Resume {
+/// What a sleeping simulated thread is woken with.
+enum Turn {
     Go,
     Shutdown,
 }
 
-enum YieldMsg {
-    /// The thread scheduled its own resume (via `advance`).
-    Scheduled,
-    /// The thread parked and must be woken via `unpark`.
-    Parked,
-    /// The thread's closure returned (or it was shut down).
-    Exited,
-    /// The thread's closure panicked with this message.
-    Panicked(String),
+/// The outcome of one scheduling step: who acts next.
+enum Next {
+    /// This thread runs next.
+    Resume(ThreadId),
+    /// The event accepted at this instant for this thread crosses a
+    /// sampler boundary: the driver samples, then resumes the thread.
+    Sample(SimTime, ThreadId),
+    /// The queue drained, the event budget ran out, a thread panicked, or
+    /// a thread acknowledged its shutdown: the driver takes over.
+    Stop,
 }
 
 struct ThreadSlot {
     name: String,
     daemon: bool,
-    resume_tx: mpsc::Sender<Resume>,
+    /// Set by whoever hands this thread its turn; taken when it wakes.
+    turn: Option<Turn>,
     park: ParkState,
     exited: bool,
     /// Bumped on every `park`/`park_until` entry; a queued timer event
-    /// whose epoch does not match is stale and is skipped by the driver.
+    /// whose epoch does not match is stale and is skipped.
     park_epoch: u64,
-    /// Set by the driver when the thread is resumed by its own timer
-    /// (deadline reached) rather than by an `unpark`.
+    /// Set when the thread is resumed by its own timer (deadline
+    /// reached) rather than by an `unpark`.
     timed_out: bool,
     join: Option<JoinHandle<()>>,
 }
@@ -237,14 +247,15 @@ impl PartialOrd for EventKey {
     }
 }
 
+#[derive(Default)]
 struct State {
     clock: SimTime,
     next_seq: u64,
     next_tid: u64,
     queue: BinaryHeap<Reverse<(EventKey, ThreadId, u64)>>,
     threads: HashMap<ThreadId, ThreadSlot>,
-    yield_tx: mpsc::Sender<(ThreadId, YieldMsg)>,
     events_processed: u64,
+    event_budget: u64,
     /// When present, every accepted scheduling decision is appended here
     /// (pure bookkeeping: recording never schedules, parks, or advances,
     /// so it cannot perturb the run it observes).
@@ -252,27 +263,34 @@ struct State {
     /// When present, same-instant event ties and `SimCtx::choose` calls
     /// are routed through this policy instead of the fixed heap order.
     policy: Option<SchedulePolicyHandle>,
+    /// Taken out of the state while its callback runs on the driver.
+    sampler: Option<Sampler>,
+    /// The thread running [`Engine::run`].
+    driver: Option<Thread>,
+    /// The step a simulated thread handed the driver; taken when it wakes.
+    driver_job: Option<Next>,
+    /// The first panic message of a simulated thread.
+    panic: Option<String>,
+    /// Set once the driver shuts threads down: an exiting thread then
+    /// only hands the turn back to the driver.
+    stopping: bool,
 }
 
 impl State {
-    fn schedule(&mut self, at: SimTime, tid: ThreadId) {
-        let key = EventKey {
-            time: at,
-            seq: self.next_seq,
-        };
-        self.next_seq += 1;
-        self.queue.push(Reverse((key, tid, NORMAL_EVENT)));
+    fn slot(&mut self, tid: ThreadId) -> &mut ThreadSlot {
+        self.threads
+            .get_mut(&tid)
+            .expect("unknown simulated thread")
     }
 
-    /// Schedules a park-timeout event for `tid`. The event only fires if the
-    /// thread is still parked in the same `park_until` call (identified by
-    /// `epoch`) when it is popped; otherwise the driver discards it without
-    /// touching the clock or the event counter.
-    fn schedule_timer(&mut self, at: SimTime, tid: ThreadId, epoch: u64) {
-        debug_assert_ne!(epoch, NORMAL_EVENT);
-        let at = at.max(self.clock);
+    /// Queues an event resuming `tid` at `at` (clamped to now). `epoch` is
+    /// [`NORMAL_EVENT`] for an ordinary resume. A park-timeout event
+    /// carries the epoch of its `park_until` call and only fires if the
+    /// thread is still parked in that call when it is popped; otherwise it
+    /// is discarded without touching the clock or the event counter.
+    fn schedule(&mut self, at: SimTime, tid: ThreadId, epoch: u64) {
         let key = EventKey {
-            time: at,
+            time: at.max(self.clock),
             seq: self.next_seq,
         };
         self.next_seq += 1;
@@ -307,28 +325,98 @@ impl State {
             }
         }
     }
+
+    /// The scheduling step, run by the driver and by every yielding
+    /// thread alike: checks the event budget, accepts the next live event
+    /// and names who acts next.
+    fn next(&mut self) -> Next {
+        if self.events_processed >= self.event_budget {
+            return Next::Stop;
+        }
+        match self.pick() {
+            None => Next::Stop,
+            Some((time, tid))
+                if self
+                    .sampler
+                    .as_ref()
+                    .is_some_and(|s| s.next_boundary <= time) =>
+            {
+                Next::Sample(time, tid)
+            }
+            Some((_, tid)) => self.resume(tid),
+        }
+    }
+
+    /// Pops the earliest live event and accepts it — through the policy,
+    /// if one is installed. Stale timers are discarded *before* the
+    /// clock/event counter update, so runs that never time out are
+    /// indistinguishable from runs without timers.
+    fn pick(&mut self) -> Option<(SimTime, ThreadId)> {
+        let first = loop {
+            let Reverse((key, tid, epoch)) = self.queue.pop()?;
+            if epoch == NORMAL_EVENT || self.timer_valid(tid, epoch) {
+                break (key, tid, epoch);
+            }
+        };
+        let (key, tid, epoch) = match self.policy.clone() {
+            Some(policy) => pick_with_policy(self, &policy, first),
+            None => first,
+        };
+        if epoch != NORMAL_EVENT {
+            self.slot(tid).timed_out = true;
+        }
+        self.accept(key.time, tid);
+        Some((key.time, tid))
+    }
+
+    /// Marks the thread of an accepted event running, or skips the event
+    /// if that thread has already exited.
+    fn resume(&mut self, tid: ThreadId) -> Next {
+        let slot = self.slot(tid);
+        if slot.exited {
+            return self.next();
+        }
+        slot.park = ParkState::Running;
+        Next::Resume(tid)
+    }
+
+    /// Gives the turn to whoever `next` names: wakes that simulated
+    /// thread, or hands every other step to the driver.
+    fn hand(&mut self, next: Next) {
+        match next {
+            Next::Resume(tid) => self.wake(tid, Turn::Go),
+            job => {
+                self.driver_job = Some(job);
+                self.driver.as_ref().expect("engine is running").unpark();
+            }
+        }
+    }
+
+    fn wake(&mut self, tid: ThreadId, turn: Turn) {
+        let slot = self.slot(tid);
+        slot.turn = Some(turn);
+        slot.join
+            .as_ref()
+            .expect("thread not joined")
+            .thread()
+            .unpark();
+    }
 }
 
-/// The policy scheduling path: collects the full frontier (every event
-/// pending at the earliest instant, stale timers discarded), asks the
-/// policy which candidate runs, re-queues the rest with their original
-/// keys (they are re-validated when the next frontier is built), and
-/// accepts the chosen event exactly as the default path would.
-fn pick_with_policy(st: &mut State, policy: &SchedulePolicyHandle) -> Option<(SimTime, ThreadId)> {
-    // Find the first live event; its time defines the frontier.
-    let mut frontier: Vec<(EventKey, ThreadId, u64)> = Vec::new();
-    let time = loop {
-        let Reverse((key, tid, epoch)) = st.queue.pop()?;
-        if epoch != NORMAL_EVENT && !st.timer_valid(tid, epoch) {
-            continue;
-        }
-        let t = key.time;
-        frontier.push((key, tid, epoch));
-        break t;
-    };
-    // Gather every other live event at the same instant. Candidates come
-    // off the min-heap in ascending sequence order, so index 0 is exactly
-    // what the default path would have popped.
+/// The policy scheduling path: collects the full frontier (`first`, the
+/// earliest live event, plus every other live event at its instant),
+/// asks the policy which candidate runs, and re-queues the rest with
+/// their original keys (they are re-validated when the next frontier is
+/// built). The chosen event is accepted exactly as the default one is.
+fn pick_with_policy(
+    st: &mut State,
+    policy: &SchedulePolicyHandle,
+    first: (EventKey, ThreadId, u64),
+) -> (EventKey, ThreadId, u64) {
+    let time = first.0.time;
+    let mut frontier = vec![first];
+    // Candidates come off the min-heap in ascending sequence order, so
+    // index 0 is exactly what the default path would have popped.
     while let Some(Reverse((key, _, _))) = st.queue.peek() {
         if key.time != time {
             break;
@@ -354,30 +442,18 @@ fn pick_with_policy(st: &mut State, policy: &SchedulePolicyHandle) -> Option<(Si
     let chosen = policy
         .choose_event(time, &candidates)
         .min(frontier.len() - 1);
-    let mut picked = None;
-    for (i, (key, tid, epoch)) in frontier.into_iter().enumerate() {
-        if i == chosen {
-            picked = Some((tid, epoch));
-        } else {
-            st.queue.push(Reverse((key, tid, epoch)));
-        }
-    }
-    let (tid, epoch) = picked.expect("chosen index within frontier");
-    if epoch != NORMAL_EVENT {
-        if let Some(slot) = st.threads.get_mut(&tid) {
-            slot.timed_out = true;
-        }
-    }
-    st.accept(time, tid);
-    Some((time, tid))
+    let picked = frontier.swap_remove(chosen);
+    st.queue.extend(frontier.into_iter().map(Reverse));
+    picked
 }
 
 /// A recurring virtual-time sampler installed via [`Engine::set_sampler`].
 ///
-/// The sampler is a *driver-level* callback, not a queued event: the
-/// driver invokes it between accepting an event and resuming the chosen
-/// thread, once for every window boundary at or before the accepted
-/// instant. Because it adds nothing to the event queue, touches no
+/// The sampler is a *driver-level* callback, not a queued event: when an
+/// accepted event crosses a window boundary, the scheduling step hands
+/// that event to the driver, which invokes the callback once for every
+/// boundary at or before the accepted instant and only then resumes the
+/// event's thread. Because it adds nothing to the event queue, touches no
 /// timers, and runs while no simulated thread does, an installed sampler
 /// is schedule-invisible — runs with and without one are byte-identical
 /// (enforced by test).
@@ -385,14 +461,6 @@ struct Sampler {
     period: SimDuration,
     next_boundary: SimTime,
     callback: Box<dyn FnMut(SimTime) + Send>,
-}
-
-struct Shared {
-    state: Mutex<State>,
-    /// Separate lock from `state`: the callback runs with the state lock
-    /// released, so it may freely read shared simulation data (metric
-    /// registries, span buffers) without deadlocking against the driver.
-    sampler: Mutex<Option<Sampler>>,
 }
 
 /// The discrete-event simulation engine. See the crate-level docs for
@@ -419,9 +487,7 @@ struct Shared {
 /// assert_eq!(end, SimTime::ZERO + SimDuration::from_micros(4));
 /// ```
 pub struct Engine {
-    shared: Arc<Shared>,
-    yield_rx: mpsc::Receiver<(ThreadId, YieldMsg)>,
-    event_budget: u64,
+    state: Arc<Mutex<State>>,
 }
 
 impl Default for Engine {
@@ -440,28 +506,15 @@ impl Engine {
     /// [`SimError::EventBudgetExhausted`] after processing `budget` events —
     /// a guard against livelocked simulations.
     pub fn with_event_budget(budget: u64) -> Self {
-        let (yield_tx, yield_rx) = mpsc::channel();
         Engine {
-            shared: Arc::new(Shared {
-                state: Mutex::new(State {
-                    clock: SimTime::ZERO,
-                    next_seq: 0,
-                    next_tid: 0,
-                    queue: BinaryHeap::new(),
-                    threads: HashMap::new(),
-                    yield_tx,
-                    events_processed: 0,
-                    schedule: None,
-                    policy: None,
-                }),
-                sampler: Mutex::new(None),
-            }),
-            yield_rx,
-            event_budget: budget,
+            state: Arc::new(Mutex::new(State {
+                event_budget: budget,
+                ..State::default()
+            })),
         }
     }
 
-    /// Turns on schedule recording: every scheduling decision the driver
+    /// Turns on schedule recording: every scheduling decision the engine
     /// accepts (which thread ran, at what virtual time) is appended to
     /// the returned [`ScheduleLog`]. Read it after [`Engine::run`]
     /// finishes.
@@ -473,7 +526,7 @@ impl Engine {
     /// their recorded logs are byte-identical.
     pub fn record_schedule(&self, header: impl Into<String>) -> Arc<Mutex<ScheduleLog>> {
         let log = Arc::new(Mutex::new(ScheduleLog::new(header)));
-        self.shared.state.lock().schedule = Some(Arc::clone(&log));
+        self.state.lock().schedule = Some(Arc::clone(&log));
         log
     }
 
@@ -483,7 +536,7 @@ impl Engine {
     /// with [`DefaultSchedulePolicy`] — the engine produces byte-identical
     /// schedules to builds that predate the hook.
     pub fn set_schedule_policy(&self, policy: SchedulePolicyHandle) {
-        self.shared.state.lock().policy = Some(policy);
+        self.state.lock().policy = Some(policy);
     }
 
     /// Installs a recurring virtual-time sampler: `callback` is invoked
@@ -513,7 +566,7 @@ impl Engine {
         F: FnMut(SimTime) + Send + 'static,
     {
         assert!(!period.is_zero(), "sampler period must be positive");
-        *self.shared.sampler.lock() = Some(Sampler {
+        self.state.lock().sampler = Some(Sampler {
             period,
             next_boundary: SimTime::ZERO + period,
             callback: Box::new(callback),
@@ -526,7 +579,7 @@ impl Engine {
     where
         F: FnOnce(&SimCtx) + Send + 'static,
     {
-        spawn_thread(&self.shared, name.into(), false, f)
+        spawn_thread(&self.state, name.into(), false, f)
     }
 
     /// Spawns a *daemon* thread: an infrastructure loop (e.g. a message
@@ -536,7 +589,7 @@ impl Engine {
     where
         F: FnOnce(&SimCtx) + Send + 'static,
     {
-        spawn_thread(&self.shared, name.into(), true, f)
+        spawn_thread(&self.state, name.into(), true, f)
     }
 
     /// Runs the simulation to completion.
@@ -554,145 +607,51 @@ impl Engine {
     /// Re-raises any panic from a simulated thread (so `assert!` inside
     /// simulated code fails the enclosing test).
     pub fn run(self) -> Result<SimTime, SimError> {
-        let mut deadlocked: Vec<String> = Vec::new();
-        let mut budget_hit = false;
-        let mut panic_msg: Option<String> = None;
-
+        let mut next = {
+            let mut st = self.state.lock();
+            st.driver = Some(std::thread::current());
+            st.next()
+        };
+        // Threads hand each other the turn directly; the driver sleeps
+        // until one hands it a step only the driver may take.
         loop {
-            let next = {
-                let mut st = self.shared.state.lock();
-                if st.events_processed >= self.event_budget {
-                    budget_hit = true;
-                    None
-                } else if let Some(policy) = st.policy.clone() {
-                    pick_with_policy(&mut st, &policy)
-                } else {
-                    loop {
-                        let Some(Reverse((key, tid, epoch))) = st.queue.pop() else {
-                            break None;
-                        };
-                        if epoch != NORMAL_EVENT {
-                            // Park-timeout event: only valid if the thread is
-                            // still parked in the same park_until call. Stale
-                            // timers are discarded *before* the clock/event
-                            // counter update so runs that never time out are
-                            // indistinguishable from runs without timers.
-                            if !st.timer_valid(tid, epoch) {
-                                continue;
-                            }
-                            if let Some(slot) = st.threads.get_mut(&tid) {
-                                slot.timed_out = true;
-                            }
-                        }
-                        st.accept(key.time, tid);
-                        break Some((key.time, tid));
-                    }
+            next = match next {
+                Next::Stop => break,
+                Next::Resume(_) => {
+                    self.state.lock().hand(next);
+                    self.wait_for_job()
+                }
+                Next::Sample(time, tid) => {
+                    self.sample(time);
+                    self.state.lock().resume(tid)
                 }
             };
-            let Some((time, tid)) = next else { break };
-
-            // Fire the sampler for every window boundary the clock just
-            // crossed, *before* the chosen thread runs: the event at
-            // `time` belongs to the window starting at the boundary, so a
-            // callback at boundary `b` sees exactly the state produced by
-            // events strictly before `b`. The state lock is released here
-            // — the callback may read shared simulation data freely.
-            {
-                let mut sampler = self.shared.sampler.lock();
-                if let Some(s) = sampler.as_mut() {
-                    while s.next_boundary <= time {
-                        let boundary = s.next_boundary;
-                        s.next_boundary = boundary + s.period;
-                        (s.callback)(boundary);
-                    }
-                }
-            }
-
-            // Resume the thread and wait for it to yield back.
-            {
-                let mut st = self.shared.state.lock();
-                let slot = st.threads.get_mut(&tid).expect("event for unknown thread");
-                if slot.exited {
-                    continue;
-                }
-                slot.park = ParkState::Running;
-                // Thread may not be at its receiver yet only on the very
-                // first resume; mpsc buffers the message either way.
-                let _ = slot.resume_tx.send(Resume::Go);
-            }
-            match self.yield_rx.recv() {
-                Ok((ytid, msg)) => {
-                    debug_assert_eq!(ytid, tid, "yield from unexpected thread");
-                    match msg {
-                        YieldMsg::Scheduled | YieldMsg::Parked => {}
-                        YieldMsg::Exited => {
-                            let mut st = self.shared.state.lock();
-                            if let Some(slot) = st.threads.get_mut(&tid) {
-                                slot.exited = true;
-                            }
-                        }
-                        YieldMsg::Panicked(msg) => {
-                            let mut st = self.shared.state.lock();
-                            if let Some(slot) = st.threads.get_mut(&tid) {
-                                slot.exited = true;
-                            }
-                            panic_msg = Some(msg);
-                            break;
-                        }
-                    }
-                }
-                Err(_) => break,
-            }
         }
 
         // The queue is drained (or we aborted). Shut down every thread that
-        // is still alive; collect non-daemon ones as deadlocked unless we
-        // are aborting for another reason.
-        let alive: Vec<ThreadId> = {
-            let st = self.shared.state.lock();
+        // is still alive; each acknowledges by handing the driver `Stop`
+        // as it exits. Non-daemon ones count as deadlocked.
+        let alive: Vec<(ThreadId, bool, String)> = {
+            let mut st = self.state.lock();
+            st.stopping = true;
             st.threads
                 .iter()
                 .filter(|(_, s)| !s.exited)
-                .map(|(tid, _)| *tid)
+                .map(|(tid, s)| (*tid, s.daemon, s.name.clone()))
                 .collect()
         };
-        for tid in alive {
-            let (is_daemon, name) = {
-                let mut st = self.shared.state.lock();
-                let slot = match st.threads.get_mut(&tid) {
-                    Some(s) if !s.exited => s,
-                    _ => continue,
-                };
-                let info = (slot.daemon, slot.name.clone());
-                let _ = slot.resume_tx.send(Resume::Shutdown);
-                info
-            };
-            if !is_daemon && panic_msg.is_none() && !budget_hit {
+        let mut deadlocked: Vec<String> = Vec::new();
+        for (tid, daemon, name) in alive {
+            self.state.lock().wake(tid, Turn::Shutdown);
+            self.wait_for_job();
+            if !daemon {
                 deadlocked.push(name);
-            }
-            // Wait for the Exited acknowledgment so joins cannot hang.
-            loop {
-                match self.yield_rx.recv() {
-                    Ok((ytid, YieldMsg::Exited)) if ytid == tid => break,
-                    Ok((ytid, YieldMsg::Panicked(m))) if ytid == tid => {
-                        if panic_msg.is_none() {
-                            panic_msg = Some(m);
-                        }
-                        break;
-                    }
-                    Ok(_) => continue,
-                    Err(_) => break,
-                }
-            }
-            let mut st = self.shared.state.lock();
-            if let Some(slot) = st.threads.get_mut(&tid) {
-                slot.exited = true;
             }
         }
 
         // Join all real threads.
         let joins: Vec<JoinHandle<()>> = {
-            let mut st = self.shared.state.lock();
+            let mut st = self.state.lock();
             st.threads
                 .values_mut()
                 .filter_map(|s| s.join.take())
@@ -702,67 +661,81 @@ impl Engine {
             let _ = j.join();
         }
 
-        if let Some(msg) = panic_msg {
+        let mut st = self.state.lock();
+        if let Some(msg) = st.panic.take() {
+            drop(st);
             panic!("simulated thread panicked: {msg}");
         }
-        if budget_hit {
+        if st.events_processed >= st.event_budget {
             return Err(SimError::EventBudgetExhausted {
-                budget: self.event_budget,
+                budget: st.event_budget,
             });
         }
         if !deadlocked.is_empty() {
             deadlocked.sort();
             return Err(SimError::Deadlock { parked: deadlocked });
         }
-        let clock = self.shared.state.lock().clock;
-        Ok(clock)
+        Ok(st.clock)
+    }
+
+    /// Sleeps until a simulated thread hands the driver a step.
+    fn wait_for_job(&self) -> Next {
+        loop {
+            if let Some(job) = self.state.lock().driver_job.take() {
+                return job;
+            }
+            std::thread::park();
+        }
+    }
+
+    /// Fires the sampler for every window boundary at or before `time`,
+    /// the instant of the event just accepted, *before* that event's
+    /// thread runs: the event belongs to the window starting at the last
+    /// boundary, so a callback at boundary `b` sees exactly the state
+    /// produced by events strictly before `b`. The state lock is released
+    /// while the callback runs, so it may read shared simulation data.
+    fn sample(&self, time: SimTime) {
+        let mut s = self.state.lock().sampler.take().expect("sampler installed");
+        while s.next_boundary <= time {
+            let boundary = s.next_boundary;
+            s.next_boundary = boundary + s.period;
+            (s.callback)(boundary);
+        }
+        self.state.lock().sampler = Some(s);
     }
 }
 
-fn spawn_thread<F>(shared: &Arc<Shared>, name: String, daemon: bool, f: F) -> ThreadId
+fn spawn_thread<F>(state: &Arc<Mutex<State>>, name: String, daemon: bool, f: F) -> ThreadId
 where
     F: FnOnce(&SimCtx) + Send + 'static,
 {
-    let (resume_tx, resume_rx) = mpsc::channel();
-    let mut st = shared.state.lock();
+    let mut st = state.lock();
     let tid = ThreadId(st.next_tid);
     st.next_tid += 1;
-    let yield_tx = st.yield_tx.clone();
     let ctx = SimCtx {
         tid,
-        shared: Arc::clone(shared),
-        resume_rx,
-        yield_tx: yield_tx.clone(),
+        state: Arc::clone(state),
     };
     let tname = name.clone();
     let join = std::thread::Builder::new()
         .name(format!("{tname}#{}", tid.0))
         .stack_size(512 * 1024)
         .spawn(move || {
-            // Wait for the first resume before touching anything.
-            match ctx.resume_rx.recv() {
-                Ok(Resume::Go) => {}
-                Ok(Resume::Shutdown) | Err(_) => {
-                    let _ = ctx.yield_tx.send((tid, YieldMsg::Exited));
-                    return;
-                }
-            }
-            let result = panic::catch_unwind(AssertUnwindSafe(|| f(&ctx)));
-            let msg = match result {
-                Ok(()) => YieldMsg::Exited,
-                Err(payload) => {
-                    if payload.downcast_ref::<ShutdownToken>().is_some() {
-                        YieldMsg::Exited
-                    } else if let Some(s) = payload.downcast_ref::<&str>() {
-                        YieldMsg::Panicked((*s).to_string())
-                    } else if let Some(s) = payload.downcast_ref::<String>() {
-                        YieldMsg::Panicked(s.clone())
-                    } else {
-                        YieldMsg::Panicked("non-string panic payload".to_string())
-                    }
-                }
+            let result = panic::catch_unwind(AssertUnwindSafe(|| {
+                // Wait for the first turn before touching anything.
+                ctx.wait_turn();
+                f(&ctx)
+            }));
+            let panic = match result {
+                Err(p) if !p.is::<ShutdownToken>() => Some(
+                    p.downcast_ref::<&str>()
+                        .map(|s| s.to_string())
+                        .or_else(|| p.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "non-string panic payload".to_string()),
+                ),
+                _ => None,
             };
-            let _ = ctx.yield_tx.send((tid, msg));
+            ctx.exit(panic);
         })
         .expect("failed to spawn simulated thread");
     st.threads.insert(
@@ -770,7 +743,7 @@ where
         ThreadSlot {
             name,
             daemon,
-            resume_tx,
+            turn: None,
             park: ParkState::Running,
             exited: false,
             park_epoch: 0,
@@ -780,7 +753,7 @@ where
     );
     // First run at the current virtual instant.
     let now = st.clock;
-    st.schedule(now, tid);
+    st.schedule(now, tid, NORMAL_EVENT);
     tid
 }
 
@@ -789,9 +762,7 @@ where
 /// lifetime; the context is bound to that thread and is not `Sync`.
 pub struct SimCtx {
     tid: ThreadId,
-    shared: Arc<Shared>,
-    resume_rx: mpsc::Receiver<Resume>,
-    yield_tx: mpsc::Sender<(ThreadId, YieldMsg)>,
+    state: Arc<Mutex<State>>,
 }
 
 impl SimCtx {
@@ -802,13 +773,13 @@ impl SimCtx {
 
     /// The current virtual time.
     pub fn now(&self) -> SimTime {
-        self.shared.state.lock().clock
+        self.state.lock().clock
     }
 
     /// Number of events the engine has processed so far (a monotone,
     /// deterministic activity measure).
     pub fn events_processed(&self) -> u64 {
-        self.shared.state.lock().events_processed
+        self.state.lock().events_processed
     }
 
     /// Resolves an `n`-way nondeterministic value choice through the
@@ -821,7 +792,7 @@ impl SimCtx {
         if n <= 1 {
             return 0;
         }
-        let policy = self.shared.state.lock().policy.clone();
+        let policy = self.state.lock().policy.clone();
         match policy {
             Some(p) => p.choose_value(tag, n).min(n - 1),
             None => 0,
@@ -832,19 +803,17 @@ impl SimCtx {
     /// Lets hot paths skip building candidate sets for [`SimCtx::choose`]
     /// when nobody is listening.
     pub fn has_schedule_policy(&self) -> bool {
-        self.shared.state.lock().policy.is_some()
+        self.state.lock().policy.is_some()
     }
 
     /// Advances this thread's virtual time by `d`, letting other threads run
     /// in the meantime. `advance(ZERO)` yields the (virtual) CPU without
     /// moving the clock.
     pub fn advance(&self, d: SimDuration) {
-        {
-            let mut st = self.shared.state.lock();
-            let at = st.clock + d;
-            st.schedule(at, self.tid);
-        }
-        self.yield_and_wait(YieldMsg::Scheduled);
+        let mut st = self.state.lock();
+        let at = st.clock + d;
+        st.schedule(at, self.tid, NORMAL_EVENT);
+        self.yield_turn(st);
     }
 
     /// Advances this thread to the absolute instant `t` (no-op if `t` is in
@@ -858,22 +827,20 @@ impl SimCtx {
     /// its id. If an unpark was already delivered since the last `park`,
     /// returns immediately (token semantics, like [`std::thread::park`]).
     pub fn park(&self) {
-        {
-            let mut st = self.shared.state.lock();
-            let slot = st.threads.get_mut(&self.tid).expect("own slot missing");
-            slot.park_epoch += 1; // invalidate timers from earlier park_untils
-            match slot.park {
-                ParkState::Notified => {
-                    slot.park = ParkState::Running;
-                    return;
-                }
-                ParkState::Running => slot.park = ParkState::Parked,
-                ParkState::Parked | ParkState::ParkedScheduled => {
-                    unreachable!("thread parked while already parked")
-                }
+        let mut st = self.state.lock();
+        let slot = st.slot(self.tid);
+        slot.park_epoch += 1; // invalidate timers from earlier park_untils
+        match slot.park {
+            ParkState::Notified => {
+                slot.park = ParkState::Running;
+                return;
+            }
+            ParkState::Running => slot.park = ParkState::Parked,
+            ParkState::Parked | ParkState::ParkedScheduled => {
+                unreachable!("thread parked while already parked")
             }
         }
-        self.yield_and_wait(YieldMsg::Parked);
+        self.yield_turn(st);
     }
 
     /// Like [`SimCtx::park`], but with a deadline: blocks until another
@@ -891,34 +858,32 @@ impl SimCtx {
     /// actually times out produces exactly the same schedule as code using
     /// plain `park`.
     pub fn park_until(&self, deadline: SimTime) -> bool {
-        {
-            let mut st = self.shared.state.lock();
-            let slot = st.threads.get_mut(&self.tid).expect("own slot missing");
-            slot.park_epoch += 1;
-            slot.timed_out = false;
-            match slot.park {
-                ParkState::Notified => {
-                    slot.park = ParkState::Running;
-                    return false;
-                }
-                ParkState::Running => slot.park = ParkState::Parked,
-                ParkState::Parked | ParkState::ParkedScheduled => {
-                    unreachable!("thread parked while already parked")
-                }
+        let mut st = self.state.lock();
+        let slot = st.slot(self.tid);
+        slot.park_epoch += 1;
+        slot.timed_out = false;
+        match slot.park {
+            ParkState::Notified => {
+                slot.park = ParkState::Running;
+                return false;
             }
-            let epoch = slot.park_epoch;
-            st.schedule_timer(deadline, self.tid, epoch);
+            ParkState::Running => slot.park = ParkState::Parked,
+            ParkState::Parked | ParkState::ParkedScheduled => {
+                unreachable!("thread parked while already parked")
+            }
         }
-        self.yield_and_wait(YieldMsg::Parked);
-        let mut st = self.shared.state.lock();
-        let slot = st.threads.get_mut(&self.tid).expect("own slot missing");
+        let epoch = slot.park_epoch;
+        st.schedule(deadline, self.tid, epoch);
+        self.yield_turn(st);
+        let mut st = self.state.lock();
+        let slot = st.slot(self.tid);
         std::mem::take(&mut slot.timed_out)
     }
 
     /// Wakes the thread `target`. If it is parked, it resumes at the current
     /// virtual time; otherwise its next `park()` returns immediately.
     pub fn unpark(&self, target: ThreadId) {
-        let mut st = self.shared.state.lock();
+        let mut st = self.state.lock();
         let now = st.clock;
         let Some(slot) = st.threads.get_mut(&target) else {
             return;
@@ -931,7 +896,7 @@ impl SimCtx {
             ParkState::Notified | ParkState::ParkedScheduled => {}
             ParkState::Parked => {
                 slot.park = ParkState::ParkedScheduled;
-                st.schedule(now, target);
+                st.schedule(now, target, NORMAL_EVENT);
             }
         }
     }
@@ -942,7 +907,7 @@ impl SimCtx {
     where
         F: FnOnce(&SimCtx) + Send + 'static,
     {
-        spawn_thread(&self.shared, name.into(), false, f)
+        spawn_thread(&self.state, name.into(), false, f)
     }
 
     /// Spawns a daemon (infrastructure) thread; see [`Engine::spawn_daemon`].
@@ -950,19 +915,48 @@ impl SimCtx {
     where
         F: FnOnce(&SimCtx) + Send + 'static,
     {
-        spawn_thread(&self.shared, name.into(), true, f)
+        spawn_thread(&self.state, name.into(), true, f)
     }
 
-    fn yield_and_wait(&self, msg: YieldMsg) {
-        self.yield_tx
-            .send((self.tid, msg))
-            .expect("engine dropped yield channel");
-        match self.resume_rx.recv() {
-            Ok(Resume::Go) => {}
-            Ok(Resume::Shutdown) | Err(_) => {
-                panic::resume_unwind(Box::new(ShutdownToken));
+    /// Yields the turn: runs the scheduling step on this thread, hands
+    /// the turn to whoever it names, and sleeps until this thread's turn
+    /// comes back. When the next event is this thread's own, it keeps
+    /// running without a wake-up.
+    fn yield_turn(&self, mut st: MutexGuard<'_, State>) {
+        match st.next() {
+            Next::Resume(tid) if tid == self.tid => return,
+            next => st.hand(next),
+        }
+        drop(st);
+        self.wait_turn();
+    }
+
+    /// Sleeps until this thread is handed its turn; unwinds with
+    /// [`ShutdownToken`] when the engine shuts it down instead.
+    fn wait_turn(&self) {
+        loop {
+            let turn = self.state.lock().slot(self.tid).turn.take();
+            match turn {
+                Some(Turn::Go) => return,
+                Some(Turn::Shutdown) => panic::resume_unwind(Box::new(ShutdownToken)),
+                None => std::thread::park(),
             }
         }
+    }
+
+    /// Marks this thread exited and passes the turn on. After a panic, or
+    /// while the driver is shutting threads down, the turn goes back to
+    /// the driver.
+    fn exit(&self, panic: Option<String>) {
+        let mut st = self.state.lock();
+        st.slot(self.tid).exited = true;
+        let next = if panic.is_some() || st.stopping {
+            Next::Stop
+        } else {
+            st.next()
+        };
+        st.panic = st.panic.take().or(panic);
+        st.hand(next);
     }
 }
 
@@ -1134,14 +1128,24 @@ mod tests {
 
     #[test]
     fn event_budget_detects_livelock() {
+        // The spinner is the only thread, so every `advance(ZERO)` is a
+        // self-handoff: the budget must still stop it at exactly 100.
         let engine = Engine::with_event_budget(100);
-        engine.spawn("spinner", |ctx| loop {
-            ctx.advance(SimDuration::ZERO);
-        });
+        let log = engine.record_schedule("livelock");
+        let seen = StdArc::new(AtomicU64::new(0));
+        {
+            let seen = StdArc::clone(&seen);
+            engine.spawn("spinner", move |ctx| loop {
+                ctx.advance(SimDuration::ZERO);
+                seen.store(ctx.events_processed(), Ordering::Relaxed);
+            });
+        }
         match engine.run() {
             Err(SimError::EventBudgetExhausted { budget }) => assert_eq!(budget, 100),
             other => panic!("expected budget exhaustion, got {other:?}"),
         }
+        assert_eq!(seen.load(Ordering::Relaxed), 100);
+        assert_eq!(labels(&log), vec!["t=0 spinner"; 100]);
     }
 
     #[test]
@@ -1240,6 +1244,21 @@ mod tests {
         assert_eq!(plain_end, policy_end);
         assert_eq!(plain_text, policy_text, "default policy must not perturb");
         assert!(!plain_text.is_empty());
+    }
+
+    #[test]
+    fn policy_workload_schedule_matches_fixture() {
+        // Pins the exact accepted-event order of `policy_workload`: an
+        // engine change that moves a single event fails here.
+        let engine = Engine::new();
+        let log = engine.record_schedule("policy-workload");
+        policy_workload(&engine);
+        engine.run().unwrap();
+        let text = log.lock().to_text();
+        assert_eq!(
+            text,
+            include_str!("../tests/fixtures/policy_workload.schedule")
+        );
     }
 
     #[test]
@@ -1512,5 +1531,173 @@ mod tests {
             assert_eq!(ctx.now(), SimTime::from_nanos(20_000));
         });
         engine.run().unwrap();
+    }
+
+    /// The recorded schedule as its step labels.
+    fn labels(log: &Arc<Mutex<ScheduleLog>>) -> Vec<String> {
+        log.lock().steps().iter().map(|s| s.label.clone()).collect()
+    }
+
+    #[test]
+    fn panic_in_a_thread_resumed_by_another_thread_propagates() {
+        // `bomber` is resumed by `first`'s handoffs (its first run, then
+        // the exit of `first`), never by the driver, before it panics.
+        let engine = Engine::new();
+        let log = engine.record_schedule("panic-handoff");
+        engine.spawn("first", |ctx| ctx.advance(SimDuration::from_nanos(1)));
+        engine.spawn("bomber", |ctx| {
+            ctx.advance(SimDuration::from_nanos(2));
+            panic!("handed-off boom");
+        });
+        let payload = panic::catch_unwind(AssertUnwindSafe(|| engine.run())).unwrap_err();
+        let msg = payload.downcast_ref::<String>().expect("formatted message");
+        assert!(msg.contains("handed-off boom"), "{msg}");
+        assert_eq!(
+            labels(&log),
+            vec!["t=0 first", "t=0 bomber", "t=1 first", "t=2 bomber"]
+        );
+    }
+
+    #[test]
+    fn park_until_resumed_by_its_own_timer_keeps_running() {
+        // When `sleeper` parks, its own timer (5µs) is the next event, so
+        // the timeout is a self-handoff with no other thread in between.
+        let engine = Engine::new();
+        let log = engine.record_schedule("self-timer");
+        engine.spawn("late", |ctx| ctx.advance(SimDuration::from_micros(10)));
+        engine.spawn("sleeper", |ctx| {
+            assert!(ctx.park_until(SimTime::from_nanos(5_000)));
+            assert_eq!(ctx.now(), SimTime::from_nanos(5_000));
+        });
+        assert_eq!(engine.run().unwrap(), SimTime::from_nanos(10_000));
+        assert_eq!(
+            labels(&log),
+            vec!["t=0 late", "t=0 sleeper", "t=5000 sleeper", "t=10000 late"]
+        );
+    }
+
+    #[test]
+    fn exit_hands_off_to_a_thread_that_never_ran() {
+        let engine = Engine::new();
+        let log = engine.record_schedule("exit-to-new");
+        let child_start = StdArc::new(Mutex::new(None));
+        {
+            let child_start = StdArc::clone(&child_start);
+            engine.spawn("parent", move |ctx| {
+                ctx.advance(SimDuration::from_nanos(1));
+                // The parent exits right after the spawn: its exit step
+                // picks the child's first run.
+                ctx.spawn("child", move |ctx| {
+                    *child_start.lock() = Some(ctx.now());
+                    ctx.advance(SimDuration::from_nanos(3));
+                });
+            });
+        }
+        assert_eq!(engine.run().unwrap(), SimTime::from_nanos(4));
+        assert_eq!(*child_start.lock(), Some(SimTime::from_nanos(1)));
+        assert_eq!(
+            labels(&log),
+            vec!["t=0 parent", "t=1 parent", "t=1 child", "t=4 child"]
+        );
+    }
+
+    #[test]
+    fn sampler_fires_before_a_self_handoff_continues() {
+        // A lone worker hands every event to itself; an event crossing a
+        // boundary must go through the driver, which samples before the
+        // worker runs on.
+        let engine = Engine::new();
+        let log = engine.record_schedule("self-sample");
+        let order = StdArc::new(Mutex::new(Vec::new()));
+        {
+            let order = StdArc::clone(&order);
+            engine.set_sampler(SimDuration::from_micros(10), move |b| {
+                order.lock().push(format!("sample@{}", b.as_nanos()));
+            });
+        }
+        {
+            let order = StdArc::clone(&order);
+            engine.spawn("worker", move |ctx| {
+                for _ in 0..5 {
+                    ctx.advance(SimDuration::from_micros(4));
+                    order.lock().push(format!("run@{}", ctx.now().as_nanos()));
+                }
+            });
+        }
+        engine.run().unwrap();
+        assert_eq!(
+            *order.lock(),
+            vec![
+                "run@4000",
+                "run@8000",
+                "sample@10000",
+                "run@12000",
+                "run@16000",
+                "sample@20000",
+                "run@20000",
+            ]
+        );
+        let expected: Vec<String> = (0..6).map(|k| format!("t={} worker", k * 4_000)).collect();
+        assert_eq!(labels(&log), expected);
+    }
+
+    #[test]
+    fn daemon_shuts_down_after_many_direct_handoffs() {
+        struct Unwound(StdArc<AtomicU64>);
+        impl Drop for Unwound {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        const ROUNDS: u64 = 500;
+        let engine = Engine::new();
+        let log = engine.record_schedule("daemon-handoffs");
+        let pinger = StdArc::new(Mutex::new(None));
+        let echoes = StdArc::new(AtomicU64::new(0));
+        let unwound = StdArc::new(AtomicU64::new(0));
+        let echo = {
+            let (pinger, echoes, unwound) = (
+                StdArc::clone(&pinger),
+                StdArc::clone(&echoes),
+                StdArc::clone(&unwound),
+            );
+            engine.spawn_daemon("echo", move |ctx| {
+                let _guard = Unwound(unwound);
+                loop {
+                    ctx.park(); // shut down by the engine at drain
+                    echoes.fetch_add(1, Ordering::Relaxed);
+                    ctx.unpark(pinger.lock().expect("pinger registered"));
+                }
+            })
+        };
+        {
+            let pinger = StdArc::clone(&pinger);
+            engine.spawn("pinger", move |ctx| {
+                *pinger.lock() = Some(ctx.id());
+                for _ in 0..ROUNDS {
+                    ctx.advance(SimDuration::from_nanos(1));
+                    ctx.unpark(echo);
+                    ctx.park();
+                }
+            });
+        }
+        assert_eq!(engine.run().unwrap(), SimTime::from_nanos(ROUNDS));
+        assert_eq!(echoes.load(Ordering::Relaxed), ROUNDS);
+        assert_eq!(unwound.load(Ordering::Relaxed), 1, "daemon unwound once");
+        let labels = labels(&log);
+        // Two first runs, then per round: the pinger's advance, the echo,
+        // and the pinger's wake-up.
+        assert_eq!(labels.len() as u64, 2 + 3 * ROUNDS);
+        assert_eq!(
+            labels[..5],
+            [
+                "t=0 echo",
+                "t=0 pinger",
+                "t=1 pinger",
+                "t=1 echo",
+                "t=1 pinger"
+            ]
+        );
+        assert_eq!(labels.last().map(String::as_str), Some("t=500 pinger"));
     }
 }
