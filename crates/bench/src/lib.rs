@@ -32,9 +32,13 @@
 
 #![warn(missing_docs)]
 
-mod perf;
+pub use dex_prof::perf::{BenchResult, BENCH_SCHEMA};
 
-pub use perf::{smoke, BenchResult, BENCH_SCHEMA};
+/// `true` when the bench should run its reduced smoke configuration:
+/// `--smoke` on the command line or `DEX_BENCH_SMOKE` set (non-`0`).
+pub fn smoke() -> bool {
+    arg_flag("--smoke") || std::env::var("DEX_BENCH_SMOKE").is_ok_and(|v| v != "0")
+}
 
 use std::fmt::Write as _;
 use std::path::PathBuf;

@@ -196,7 +196,7 @@ impl std::fmt::Debug for ExploreScenario {
 }
 
 /// All built-in exploration workloads.
-pub const EXPLORE_SCENARIOS: [ExploreScenario; 6] = [
+pub const EXPLORE_SCENARIOS: [ExploreScenario; 7] = [
     ExploreScenario {
         name: "mp",
         description: "message passing: origin writes, barrier, two nodes read (2 nodes, 3 threads)",
@@ -256,6 +256,16 @@ pub const EXPLORE_SCENARIOS: [ExploreScenario; 6] = [
         with_faults: false,
         dir_shards: 2,
         setup: invalidate_setup,
+    },
+    ExploreScenario {
+        name: "downgrade",
+        description: "origin-exclusive page read remotely, then written again by the origin: \
+                      the read must downgrade the origin's mapping (2 nodes, 2 threads)",
+        nodes: 2,
+        threads: 2,
+        with_faults: false,
+        dir_shards: 1,
+        setup: downgrade_setup,
     },
 ];
 
@@ -318,6 +328,32 @@ fn invalidate_setup(p: &DexProcess<'_>) {
         b.wait(ctx); // B
         let _ = v.get(ctx, 1);
         let _ = v.get(ctx, 0);
+    });
+}
+
+/// The origin writes a page it owns exclusively, a remote thread reads
+/// it (the origin must downgrade to shared), then the origin writes
+/// again: that write must fault and revoke the replica, or the remote
+/// re-read observes the overwritten value.
+fn downgrade_setup(p: &DexProcess<'_>) {
+    let x = p.alloc_cell_aligned::<u64>(0, "dg.x");
+    let b = p.new_barrier(2, "dg.barrier");
+    p.spawn(move |ctx| {
+        ctx.set_site("dg.origin");
+        x.set(ctx, 1);
+        b.wait(ctx); // A: first write done
+        b.wait(ctx); // B: remote read done
+        x.set(ctx, 2);
+        b.wait(ctx); // C: second write done
+    });
+    p.spawn(move |ctx| {
+        ctx.migrate(1).unwrap();
+        ctx.set_site("dg.remote");
+        b.wait(ctx); // A
+        let _ = x.get(ctx);
+        b.wait(ctx); // B
+        b.wait(ctx); // C
+        let _ = x.get(ctx);
     });
 }
 
@@ -816,8 +852,9 @@ pub struct SweepEntry {
 /// + oracle cannot catch is a hole in the checker.
 pub fn mutation_sweep(budget_per_scenario: usize) -> Vec<SweepEntry> {
     ALL_MUTATIONS
-        .iter()
-        .map(|&mutation| {
+        .into_iter()
+        .filter(|m| m.in_runtime())
+        .map(|mutation| {
             let mut executions = 0usize;
             for scenario in EXPLORE_SCENARIOS.iter().filter(|s| !s.with_faults) {
                 let config = ExploreConfig {
@@ -865,6 +902,12 @@ pub fn render_sweep(entries: &[SweepEntry]) -> String {
                 e.executions,
             )),
         }
+    }
+    for m in ALL_MUTATIONS.into_iter().filter(|m| !m.in_runtime()) {
+        out.push_str(&format!(
+            "  mutation {:<22} n/a: requester-side, injected by the model only\n",
+            m.name()
+        ));
     }
     out
 }
@@ -943,7 +986,7 @@ mod tests {
     #[test]
     fn every_mutation_is_caught_with_a_replayable_counterexample() {
         let entries = mutation_sweep(60);
-        assert_eq!(entries.len(), 4);
+        assert_eq!(entries.len(), 6);
         for e in &entries {
             let cx = e.counterexample.as_ref().unwrap_or_else(|| {
                 panic!(

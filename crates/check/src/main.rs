@@ -30,7 +30,8 @@ use dex_check::{
     replay_log, replay_plan, run_fault_scenario, run_lint, run_observed_workload, run_scenario,
     CheckOptions, CheckOutcome, FAULT_SCENARIOS, SCENARIOS,
 };
-use dex_core::model::{ModelConfig, Mutation};
+use dex_core::model::ModelConfig;
+use dex_core::ProtocolMutation;
 
 /// One-line description of a model world for status output.
 fn describe_world(config: &ModelConfig) -> String {
@@ -275,7 +276,7 @@ fn cmd_model(args: &[String]) -> Result<bool, String> {
     }
 
     if let Some(name) = &parsed.mutation {
-        let mutation = Mutation::parse(name)
+        let mutation = ProtocolMutation::parse(name)
             .ok_or_else(|| format!("unknown mutation `{name}` (try `--mutation all`)"))?;
         config = config.with_mutation(mutation);
     }
@@ -374,10 +375,16 @@ fn cmd_explore(args: &[String]) -> Result<bool, String> {
     }
 
     let mutation = match &parsed.mutation {
-        Some(name) => dex_core::ProtocolMutation::parse(name)
+        Some(name) => ProtocolMutation::parse(name)
             .ok_or_else(|| format!("unknown mutation `{name}` (try `--mutation all`)"))?,
-        None => dex_core::ProtocolMutation::None,
+        None => ProtocolMutation::None,
     };
+    if !mutation.in_runtime() {
+        return Err(format!(
+            "mutation `{mutation}` is requester-side and only the model injects it \
+             (try `dex-check model --coalesce --mutation {mutation}`)"
+        ));
+    }
     let scenarios: Vec<dex_check::ExploreScenario> = match parsed.scenario.as_deref() {
         Some(name) if name != "all" => {
             vec![dex_check::find_explore_scenario(name).ok_or_else(|| {
@@ -398,7 +405,7 @@ fn cmd_explore(args: &[String]) -> Result<bool, String> {
     };
     // A seeded mutation is a checker self-test: finding the bug is the
     // pass condition. Without one, clean exploration is the pass.
-    let expect_violation = mutation != dex_core::ProtocolMutation::None;
+    let expect_violation = mutation != ProtocolMutation::None;
     let mut all_ok = true;
     let mut caught_any = false;
     for scenario in &scenarios {

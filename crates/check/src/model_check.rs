@@ -29,7 +29,8 @@
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 
-use dex_core::model::{ModelConfig, ModelEvent, ModelState, Mutation, Op, Violation};
+use dex_core::model::{ModelConfig, ModelEvent, ModelState, Op, Violation};
+use dex_core::{ProtocolMutation, ALL_MUTATIONS};
 use dex_os::Vpn;
 use dex_sim::{ReplayCursor, ScheduleLog};
 
@@ -362,7 +363,7 @@ fn config_from_header(header: &str) -> Result<ModelConfig, String> {
     let mut nodes: Option<u16> = None;
     let mut pages: Option<u64> = None;
     let mut threads: Option<Vec<u16>> = None;
-    let mut mutation = Mutation::None;
+    let mut mutation = ProtocolMutation::None;
     let mut sharded = false;
     for token in header.split_whitespace() {
         let Some((key, value)) = token.split_once('=') else {
@@ -377,8 +378,8 @@ fn config_from_header(header: &str) -> Result<ModelConfig, String> {
                 threads = Some(parsed.map_err(|e| format!("bad threads: {e}"))?);
             }
             "mutation" => {
-                mutation =
-                    Mutation::parse(value).ok_or_else(|| format!("unknown mutation {value:?}"))?;
+                mutation = ProtocolMutation::parse(value)
+                    .ok_or_else(|| format!("unknown mutation {value:?}"))?;
             }
             "sharded" => {
                 sharded = value
@@ -390,6 +391,12 @@ fn config_from_header(header: &str) -> Result<ModelConfig, String> {
     }
     let nodes = nodes.ok_or("log header missing nodes=")?;
     let pages = pages.ok_or("log header missing pages=")?;
+    if !(1..=64).contains(&nodes) {
+        return Err(format!("nodes={nodes} outside the model's 1..=64"));
+    }
+    if let Some(bad) = threads.iter().flatten().find(|&&n| n >= nodes) {
+        return Err(format!("thread on node {bad} but nodes={nodes}"));
+    }
     let mut config = ModelConfig::new(nodes, pages).with_mutation(mutation);
     if sharded {
         config = config.with_sharding();
@@ -427,19 +434,24 @@ pub fn render_counterexample(cex: &Counterexample) -> String {
     out
 }
 
-/// Whether `mutation` can fire at all in `config`. The two coalescing
-/// mutations only matter when some node hosts at least two threads
-/// (otherwise no leader–follower pair ever forms), so a sweep over a
-/// one-thread-per-node world must not count their trivial pass as a
-/// missed bug.
-fn exercisable(mutation: Mutation, config: &ModelConfig) -> bool {
+/// Why `mutation` cannot fire in `config`, if it cannot. The data
+/// mutations corrupt page contents, which the model does not track (the
+/// explorer catches them in the runtime). The two coalescing mutations
+/// only matter when some node hosts at least two threads (otherwise no
+/// leader–follower pair ever forms). A sweep must not count such a
+/// trivial pass as a missed bug.
+fn not_exercisable(mutation: ProtocolMutation, config: &ModelConfig) -> Option<&'static str> {
+    if !mutation.in_model() {
+        return Some("corrupts page contents, which the model does not track (see explore)");
+    }
     match mutation {
-        Mutation::DropWakeup | Mutation::FollowerBypass => {
+        ProtocolMutation::DropWakeup | ProtocolMutation::FollowerBypass => {
             let mut nodes = config.threads.clone();
             nodes.sort_unstable();
-            nodes.windows(2).any(|w| w[0] == w[1])
+            let paired = nodes.windows(2).any(|w| w[0] == w[1]);
+            (!paired).then_some("needs two same-node threads (use --coalesce)")
         }
-        _ => true,
+        _ => None,
     }
 }
 
@@ -454,17 +466,14 @@ pub fn mutation_sweep(
 ) -> Result<(Vec<String>, bool), String> {
     let mut lines = Vec::new();
     let mut all_ok = true;
-    for mutation in std::iter::once(Mutation::None).chain(Mutation::ALL) {
+    for mutation in std::iter::once(ProtocolMutation::None).chain(ALL_MUTATIONS) {
         let config = base.clone().with_mutation(mutation);
-        if mutation != Mutation::None && !exercisable(mutation, &config) {
-            lines.push(format!(
-                "mutation {:<16} n/a: needs two same-node threads (use --coalesce)",
-                mutation.name()
-            ));
+        if let Some(reason) = not_exercisable(mutation, &config) {
+            lines.push(format!("mutation {:<16} n/a: {reason}", mutation.name()));
             continue;
         }
         let outcome = check_model(&config, opts)?;
-        let expected_pass = mutation == Mutation::None;
+        let expected_pass = mutation == ProtocolMutation::None;
         let ok = outcome.is_pass() == expected_pass;
         all_ok &= ok;
         let line = match &outcome {
@@ -526,7 +535,7 @@ mod tests {
 
     #[test]
     fn every_mutation_is_caught_with_minimal_counterexample() {
-        for mutation in Mutation::ALL {
+        for mutation in ALL_MUTATIONS.into_iter().filter(|m| m.in_model()) {
             let config = ModelConfig::new(2, 1)
                 .with_extra_thread(1)
                 .with_mutation(mutation);
@@ -568,7 +577,7 @@ mod tests {
         // included.
         let config = ModelConfig::new(2, 1)
             .with_sharding()
-            .with_mutation(Mutation::KeepOriginPte);
+            .with_mutation(ProtocolMutation::KeepOriginPte);
         let cex = match check_model(&config, &opts()).unwrap() {
             CheckOutcome::Fail(cex) => cex,
             CheckOutcome::Pass(_) => panic!("keep-origin-pte escaped the sharded checker"),
@@ -589,7 +598,7 @@ mod tests {
     fn counterexample_round_trips_through_replay() {
         let config = ModelConfig::new(2, 1)
             .with_extra_thread(1)
-            .with_mutation(Mutation::SkipInvalidateApply);
+            .with_mutation(ProtocolMutation::SkipInvalidate);
         let cex = match check_model(&config, &opts()).unwrap() {
             CheckOutcome::Fail(cex) => cex,
             CheckOutcome::Pass(_) => panic!("mutation must be caught"),
@@ -612,7 +621,7 @@ mod tests {
     fn liveness_counterexample_replays_to_a_clean_but_stuck_state() {
         let config = ModelConfig::new(2, 1)
             .with_extra_thread(1)
-            .with_mutation(Mutation::DropInvAck);
+            .with_mutation(ProtocolMutation::DropInvAck);
         let cex = match check_model(&config, &opts()).unwrap() {
             CheckOutcome::Fail(cex) => cex,
             CheckOutcome::Pass(_) => panic!("drop-ack must be caught"),
@@ -622,6 +631,49 @@ mod tests {
         let replayed = replay_log(&text).unwrap();
         assert_eq!(replayed.steps, cex.events.len());
         assert!(replayed.violations.is_empty());
+    }
+
+    /// Header tokens that reach every branch of [`config_from_header`].
+    const HEADER_TOKENS: &[&str] = &[
+        "model",
+        "nodes=",
+        "pages=",
+        "threads=",
+        "mutation=",
+        "sharded=",
+        "0",
+        "1",
+        "3",
+        "64",
+        "65",
+        "70000",
+        ",",
+        "=",
+        " ",
+        "true",
+        "maybe",
+        "drop-ack",
+        "bogus",
+        "-1",
+        "日",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn header_parse_never_panics(
+            ix in proptest::collection::vec(0usize..HEADER_TOKENS.len(), 0..24),
+        ) {
+            let header: String = ix.into_iter().map(|i| HEADER_TOKENS[i]).collect();
+            if let Ok(config) = config_from_header(&header) {
+                // Whatever parses must build a model world (page counts
+                // only cost time, so keep those small).
+                if config.pages <= 64 {
+                    let _ = ModelState::new(config);
+                }
+            }
+        }
     }
 
     #[test]

@@ -29,14 +29,25 @@
 //! * **retry-on-busy** (§III-B): a `Retry` answer parks the requester in
 //!   a back-off state from which it re-issues the same request.
 //!
-//! [`Mutation`]s inject protocol bugs (skipped invalidation, dropped
-//! ack, skipped downgrade, lost wakeup, follower bypass) so the checker
-//! can prove its own teeth: each mutation must produce a printed,
-//! minimal counterexample.
+//! Node-side handling is not re-implemented here: directory actions,
+//! revocations, owner forwards and flushes run through the same steps
+//! (`crate::protocol`) the runtime drives, over a bare [`PageTable`] per
+//! node; this module only maps their outputs onto its message multiset.
+//!
+//! [`ProtocolMutation`]s inject protocol bugs (skipped invalidation,
+//! dropped ack, skipped downgrade, kept origin PTE, lost wakeup,
+//! follower bypass) so the checker can prove its own teeth: each
+//! mutation must produce a printed, minimal counterexample.
 
 use super::{DirAction, Directory, NodeSet, Requester};
+use crate::msg::DexMsg;
+use crate::mutation::ProtocolMutation;
+use crate::protocol::{self, Outbound, Revocation, Rules};
 use dex_net::NodeId;
-use dex_os::{Access, PageTable, Pte, Vpn};
+use dex_os::{Access, PageTable, Pid, Pte, Vpn};
+
+/// The modeled world runs one process.
+const MODEL_PID: Pid = Pid(0);
 
 /// A point-in-time view of one page's directory record (untracked pages
 /// report the origin-exclusive default).
@@ -397,143 +408,6 @@ impl Msg {
     }
 }
 
-impl std::fmt::Display for Msg {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Msg::Request {
-                thread,
-                vpn,
-                access,
-            } => write!(f, "request({access} page {}) from T{thread}", vpn.index()),
-            Msg::Invalidate {
-                to,
-                vpn,
-                needs_data,
-            } => write!(
-                f,
-                "invalidate(page {}) to node {to}{}",
-                vpn.index(),
-                if *needs_data { " +data" } else { "" }
-            ),
-            Msg::InvAck { vpn, from, .. } => {
-                write!(f, "inv-ack(page {}) from node {from}", vpn.index())
-            }
-            Msg::Flush { to, vpn } => write!(f, "flush(page {}) to node {to}", vpn.index()),
-            Msg::FlushAck { vpn, from } => {
-                write!(f, "flush-ack(page {}) from node {from}", vpn.index())
-            }
-            Msg::Grant {
-                from,
-                thread,
-                vpn,
-                access,
-                ..
-            } => write!(
-                f,
-                "grant({access} page {}) to T{thread} from node {from}",
-                vpn.index()
-            ),
-            Msg::Retry { thread, vpn, .. } => {
-                write!(f, "retry(page {}) to T{thread}", vpn.index())
-            }
-            Msg::Forward {
-                to,
-                thread,
-                vpn,
-                access,
-            } => write!(
-                f,
-                "forward({access} page {} for T{thread}) to owner node {to}",
-                vpn.index()
-            ),
-            Msg::OwnerAck { vpn, from, .. } => {
-                write!(f, "owner-ack(page {}) from node {from}", vpn.index())
-            }
-            Msg::InvBatch {
-                to,
-                vpn,
-                needs_data,
-            } => write!(
-                f,
-                "inv-batch(page {}) to node {to}{}",
-                vpn.index(),
-                if *needs_data { " +data" } else { "" }
-            ),
-            Msg::InvBatchAck { vpn, from, .. } => {
-                write!(f, "inv-batch-ack(page {}) from node {from}", vpn.index())
-            }
-        }
-    }
-}
-
-/// A protocol bug injected into the model, used to validate that the
-/// checker's invariants have teeth.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum Mutation {
-    /// Faithful protocol (the default).
-    #[default]
-    None,
-    /// A revoked node acknowledges the invalidation but keeps its stale
-    /// mapping — a lost invalidation.
-    SkipInvalidateApply,
-    /// An invalidation acknowledgment is lost in the fabric — the
-    /// transaction never drains.
-    DropInvAck,
-    /// The origin ignores `DowngradeOriginPte` and keeps its writable
-    /// mapping while replicating readers — broken exclusivity.
-    SkipOriginDowngrade,
-    /// A granted leader never wakes its coalesced followers — lost
-    /// wakeup, the followers hang forever.
-    DropWakeup,
-    /// A coalescing follower also sends its own request instead of
-    /// waiting for the leader — the directory may grant the follower
-    /// before the leader.
-    FollowerBypass,
-    /// The node handing exclusivity away (the origin classically, a
-    /// forwarding owner in sharded mode) keeps its writable mapping —
-    /// broken ownership transfer.
-    KeepOriginPte,
-}
-
-impl Mutation {
-    /// All injectable mutations (excludes [`Mutation::None`]).
-    pub const ALL: [Mutation; 6] = [
-        Mutation::SkipInvalidateApply,
-        Mutation::DropInvAck,
-        Mutation::SkipOriginDowngrade,
-        Mutation::DropWakeup,
-        Mutation::FollowerBypass,
-        Mutation::KeepOriginPte,
-    ];
-
-    /// Parses the CLI spelling of a mutation.
-    pub fn parse(name: &str) -> Option<Mutation> {
-        Some(match name {
-            "none" => Mutation::None,
-            "skip-invalidate" => Mutation::SkipInvalidateApply,
-            "drop-ack" => Mutation::DropInvAck,
-            "skip-downgrade" => Mutation::SkipOriginDowngrade,
-            "drop-wakeup" => Mutation::DropWakeup,
-            "follower-bypass" => Mutation::FollowerBypass,
-            "keep-origin-pte" => Mutation::KeepOriginPte,
-            _ => return None,
-        })
-    }
-
-    /// The CLI spelling of this mutation.
-    pub fn name(self) -> &'static str {
-        match self {
-            Mutation::None => "none",
-            Mutation::SkipInvalidateApply => "skip-invalidate",
-            Mutation::DropInvAck => "drop-ack",
-            Mutation::SkipOriginDowngrade => "skip-downgrade",
-            Mutation::DropWakeup => "drop-wakeup",
-            Mutation::FollowerBypass => "follower-bypass",
-            Mutation::KeepOriginPte => "keep-origin-pte",
-        }
-    }
-}
-
 /// Configuration of a model instance.
 #[derive(Clone, Debug)]
 pub struct ModelConfig {
@@ -545,7 +419,7 @@ pub struct ModelConfig {
     /// `i`). Two threads on one node exercise fault coalescing.
     pub threads: Vec<u16>,
     /// Injected protocol bug.
-    pub mutation: Mutation,
+    pub mutation: ProtocolMutation,
     /// Model the sharded-directory variant: the directory lives at a
     /// non-origin home node (node 1 when the world has one) and runs
     /// the two-hop protocol — owner-forwarded grants and batched
@@ -560,7 +434,7 @@ impl ModelConfig {
             nodes,
             pages,
             threads: (0..nodes).collect(),
-            mutation: Mutation::None,
+            mutation: ProtocolMutation::None,
             sharded: false,
         }
     }
@@ -573,7 +447,7 @@ impl ModelConfig {
     }
 
     /// Sets the injected mutation.
-    pub fn with_mutation(mut self, mutation: Mutation) -> Self {
+    pub fn with_mutation(mut self, mutation: ProtocolMutation) -> Self {
         self.mutation = mutation;
         self
     }
@@ -719,13 +593,6 @@ impl ModelState {
                 req_id: thread as u64,
             }
         }
-    }
-
-    fn thread_of(&self, requester: Requester) -> usize {
-        let req_id = match requester {
-            Requester::Remote { req_id, .. } | Requester::Local { req_id } => req_id,
-        };
-        req_id as usize
     }
 
     /// The ordered fabric channel `(src, dst)` a message travels on.
@@ -893,7 +760,7 @@ impl ModelState {
                 access,
                 leader,
             };
-            if self.config.mutation == Mutation::FollowerBypass {
+            if self.config.mutation == ProtocolMutation::FollowerBypass {
                 // Bug: the follower races its own request to the origin.
                 self.msgs.push(Msg::Request {
                     thread,
@@ -923,6 +790,7 @@ impl ModelState {
     }
 
     fn deliver(&mut self, m: Msg, violations: &mut Vec<Violation>) {
+        let home = self.config.home();
         match m {
             Msg::Request {
                 thread,
@@ -931,40 +799,33 @@ impl ModelState {
             } => {
                 let requester = self.requester_for(thread);
                 let actions = self.dir.request(vpn, access, requester);
-                self.run_actions(vpn, actions, violations);
+                self.run_home(vpn, actions, violations);
             }
             Msg::Invalidate {
                 to,
                 vpn,
                 needs_data,
-            } => {
-                if self.config.mutation != Mutation::SkipInvalidateApply {
-                    self.ptes[to.0 as usize].clear(vpn);
-                }
-                if self.config.mutation == Mutation::DropInvAck {
-                    return; // The ack is lost in the fabric.
-                }
-                self.msgs.push(Msg::InvAck {
-                    vpn,
-                    from: to,
-                    carried_data: needs_data,
-                });
-            }
+            } => self.revoke(to, Revocation::Page { vpn, needs_data }, violations),
             Msg::InvAck {
+                vpn,
+                from,
+                carried_data,
+            }
+            | Msg::InvBatchAck {
                 vpn,
                 from,
                 carried_data,
             } => {
                 let actions = self.dir.invalidate_ack(vpn, from, carried_data);
-                self.run_actions(vpn, actions, violations);
+                self.run_home(vpn, actions, violations);
             }
             Msg::Flush { to, vpn } => {
-                self.ptes[to.0 as usize].downgrade(vpn);
-                self.msgs.push(Msg::FlushAck { vpn, from: to });
+                let ack = protocol::flush(&mut self.ptes[to.0 as usize], MODEL_PID, home, vpn);
+                self.post(to, ack, violations);
             }
             Msg::FlushAck { vpn, from } => {
                 let actions = self.dir.flush_ack(vpn, from);
-                self.run_actions(vpn, actions, violations);
+                self.run_home(vpn, actions, violations);
             }
             Msg::Grant {
                 thread,
@@ -972,8 +833,10 @@ impl ModelState {
                 access,
                 ..
             } => {
-                self.complete_grant(thread, vpn, access, violations);
-                self.maybe_release_deferred(self.thread_node(thread), vpn);
+                let node = self.thread_node(thread);
+                protocol::map(&mut self.ptes[node.0 as usize], vpn, access);
+                self.complete_grant(thread, vpn, violations);
+                self.maybe_release_deferred(node, vpn, violations);
             }
             Msg::Retry {
                 thread,
@@ -982,63 +845,55 @@ impl ModelState {
                 ..
             } => {
                 self.threads[thread] = ThreadState::Backoff { vpn, access };
-                self.maybe_release_deferred(self.thread_node(thread), vpn);
+                self.maybe_release_deferred(self.thread_node(thread), vpn, violations);
             }
+            Msg::OwnerAck { vpn, from, .. } => {
+                let actions = self.dir.owner_ack(vpn, from);
+                self.run_home(vpn, actions, violations);
+            }
+            // A grant for this page is still in flight to the target:
+            // servicing a forward (or revocation, which overtook the
+            // grant on a different channel) now would act on a copy the
+            // node does not hold yet. Park it until the grant lands.
+            Msg::Forward { to, vpn, .. } | Msg::InvBatch { to, vpn, .. }
+                if self.node_waiting_on(to, vpn) =>
+            {
+                self.deferred.push((to, m));
+            }
+            m => self.service(m, violations),
+        }
+    }
+
+    /// Services a forward or a batched revocation at its target node.
+    fn service(&mut self, m: Msg, violations: &mut Vec<Violation>) {
+        match m {
             Msg::Forward {
                 to,
                 thread,
                 vpn,
                 access,
             } => {
-                if self.node_waiting_on(to, vpn) {
-                    // A grant for this page is still in flight to the
-                    // new owner: servicing the forward now would grant
-                    // from a copy the node does not hold yet. Park it.
-                    self.deferred.push((
-                        to,
-                        Msg::Forward {
-                            to,
-                            thread,
-                            vpn,
-                            access,
-                        },
-                    ));
-                } else {
-                    self.apply_forward(to, thread, vpn, access);
+                let (rules, home, requester) =
+                    (self.rules(), self.config.home(), self.thread_node(thread));
+                let grant = protocol::owner_forward(
+                    &mut self.ptes[to.0 as usize],
+                    rules,
+                    home,
+                    vpn,
+                    access,
+                    requester,
+                    thread as u64,
+                );
+                for out in grant {
+                    self.post(to, out, violations);
                 }
-            }
-            Msg::OwnerAck { vpn, from, .. } => {
-                let actions = self.dir.owner_ack(vpn, from);
-                self.run_actions(vpn, actions, violations);
             }
             Msg::InvBatch {
                 to,
                 vpn,
                 needs_data,
-            } => {
-                if self.node_waiting_on(to, vpn) {
-                    // The revocation overtook the grant it revokes
-                    // (different channels): defer until the grant lands.
-                    self.deferred.push((
-                        to,
-                        Msg::InvBatch {
-                            to,
-                            vpn,
-                            needs_data,
-                        },
-                    ));
-                } else {
-                    self.apply_inv_batch(to, vpn, needs_data);
-                }
-            }
-            Msg::InvBatchAck {
-                vpn,
-                from,
-                carried_data,
-            } => {
-                let actions = self.dir.invalidate_ack(vpn, from, carried_data);
-                self.run_actions(vpn, actions, violations);
-            }
+            } => self.revoke(to, Revocation::Batch(vec![(vpn, needs_data)]), violations),
+            other => panic!("non-deferrable message parked: {other:?}"),
         }
     }
 
@@ -1053,7 +908,7 @@ impl ModelState {
 
     /// Releases work parked at `(node, vpn)` once no grant is in flight
     /// to that node for that page anymore.
-    fn maybe_release_deferred(&mut self, node: NodeId, vpn: Vpn) {
+    fn maybe_release_deferred(&mut self, node: NodeId, vpn: Vpn, violations: &mut Vec<Violation>) {
         if self.node_waiting_on(node, vpn) {
             return; // another same-page grant is still outstanding
         }
@@ -1061,183 +916,173 @@ impl ModelState {
         while i < self.deferred.len() {
             if self.deferred[i].0 == node && self.deferred[i].1.vpn() == vpn {
                 let (_, m) = self.deferred.remove(i);
-                match m {
-                    Msg::Forward {
-                        to,
-                        thread,
-                        vpn,
-                        access,
-                    } => self.apply_forward(to, thread, vpn, access),
-                    Msg::InvBatch {
-                        to,
-                        vpn,
-                        needs_data,
-                    } => self.apply_inv_batch(to, vpn, needs_data),
-                    other => panic!("non-deferrable message parked: {other}"),
-                }
+                self.service(m, violations);
             } else {
                 i += 1;
             }
         }
     }
 
-    /// Owner-side servicing of a forwarded request: adjust the local
-    /// mapping, grant straight to the requester, ack the home.
-    fn apply_forward(&mut self, to: NodeId, thread: usize, vpn: Vpn, access: Access) {
-        if access.is_write() {
-            // Mutation: the forwarding owner keeps its mapping after
-            // handing exclusivity away.
-            if self.config.mutation != Mutation::KeepOriginPte {
-                self.ptes[to.0 as usize].clear(vpn);
-            }
-        } else {
-            self.ptes[to.0 as usize].downgrade(vpn);
+    fn rules(&self) -> Rules {
+        Rules {
+            pid: MODEL_PID,
+            mutation: self.config.mutation,
+            zero_fill: false,
         }
-        self.msgs.push(Msg::Grant {
-            from: to,
-            thread,
-            vpn,
-            access,
-            with_data: true,
-        });
-        self.msgs.push(Msg::OwnerAck {
-            vpn,
-            from: to,
-            access,
-        });
     }
 
-    /// A node's handling of one batched-revocation entry.
-    fn apply_inv_batch(&mut self, to: NodeId, vpn: Vpn, needs_data: bool) {
-        if self.config.mutation != Mutation::SkipInvalidateApply {
-            self.ptes[to.0 as usize].clear(vpn);
+    /// The revoke step at node `to`, acking the home.
+    fn revoke(&mut self, to: NodeId, revocation: Revocation, violations: &mut Vec<Violation>) {
+        let home = self.config.home();
+        let rules = self.rules();
+        if let Some(ack) = protocol::revoke(&mut self.ptes[to.0 as usize], rules, home, revocation)
+        {
+            self.post(to, ack, violations);
         }
-        if self.config.mutation == Mutation::DropInvAck {
-            return; // The ack is lost in the fabric.
-        }
-        self.msgs.push(Msg::InvBatchAck {
-            vpn,
-            from: to,
-            carried_data: needs_data,
-        });
     }
 
-    fn run_actions(&mut self, vpn: Vpn, actions: Vec<DirAction>, violations: &mut Vec<Violation>) {
-        for action in actions {
-            match action {
-                DirAction::Grant {
-                    to,
-                    access,
-                    with_data,
-                } => {
-                    let thread = self.thread_of(to);
-                    if matches!(to, Requester::Local { .. }) {
-                        // Home-local grants complete synchronously.
-                        self.complete_grant(thread, vpn, access, violations);
-                    } else {
-                        self.msgs.push(Msg::Grant {
-                            from: self.config.home(),
-                            thread,
-                            vpn,
-                            access,
-                            with_data,
-                        });
-                    }
-                }
-                DirAction::Retry { to } => {
-                    let thread = self.thread_of(to);
-                    let access = match self.threads[thread] {
-                        ThreadState::Waiting { access, .. }
-                        | ThreadState::Backoff { access, .. }
-                        | ThreadState::Follower { access, .. } => access,
-                        ThreadState::Idle => {
-                            // A retry addressed to a thread with no
-                            // outstanding request: the faithful protocol
-                            // never does this, so surface it as a
-                            // violation instead of crashing the checker
-                            // (mutated protocols do reach this state).
-                            violations.push(Violation {
-                                invariant: "request/response pairing",
-                                detail: format!(
-                                    "retry for page {} addressed to idle thread T{thread}",
-                                    vpn.index()
-                                ),
-                            });
-                            continue;
-                        }
-                    };
-                    if matches!(to, Requester::Local { .. }) {
-                        self.threads[thread] = ThreadState::Backoff { vpn, access };
-                    } else {
-                        self.msgs.push(Msg::Retry {
-                            from: self.config.home(),
-                            thread,
-                            vpn,
-                            access,
-                        });
-                    }
-                }
-                DirAction::SendFlush { to } => self.msgs.push(Msg::Flush { to, vpn }),
-                DirAction::SendInvalidate { to, needs_data } => self.msgs.push(Msg::Invalidate {
-                    to,
-                    vpn,
-                    needs_data,
-                }),
-                DirAction::ClearOriginPte => {
-                    // Mutation: the handling node keeps its mapping after
-                    // handing ownership away.
-                    if self.config.mutation != Mutation::KeepOriginPte {
-                        self.ptes[self.config.home().0 as usize].clear(vpn);
-                    }
-                }
-                DirAction::DowngradeOriginPte => {
-                    if self.config.mutation != Mutation::SkipOriginDowngrade {
-                        self.ptes[self.config.home().0 as usize].downgrade(vpn);
-                    }
-                }
-                DirAction::SetOriginPteRo => {
-                    self.ptes[self.config.home().0 as usize].set(vpn, Pte::READ_ONLY);
-                }
-                DirAction::InstallOriginData => {} // Data movement: no protocol state.
-                DirAction::Forward {
-                    to,
-                    requester,
-                    access,
-                } => {
-                    let thread = self.thread_of(requester);
-                    self.msgs.push(Msg::Forward {
-                        to,
-                        thread,
-                        vpn,
-                        access,
-                    });
-                }
-                DirAction::SendInvalidateBatch { to, entries } => {
-                    for (v, needs_data) in entries {
-                        self.msgs.push(Msg::InvBatch {
-                            to,
-                            vpn: v,
-                            needs_data,
-                        });
-                    }
-                }
-                DirAction::DropHomeCopy { .. } => {
-                    // The home's own replica is one of the doomed copies;
-                    // data staging is not protocol state.
-                    self.ptes[self.config.home().0 as usize].clear(vpn);
-                }
+    /// The home step: applies directory actions at the home, completes
+    /// home-local waiters, and puts the outgoing messages in flight.
+    fn run_home(&mut self, vpn: Vpn, actions: Vec<DirAction>, violations: &mut Vec<Violation>) {
+        let home = self.config.home();
+        let rules = self.rules();
+        let out = protocol::home_step(
+            &mut self.ptes[home.0 as usize],
+            rules,
+            home,
+            vpn,
+            actions,
+            None,
+        );
+        for (req_id, retry) in out.local {
+            let thread = req_id as usize;
+            if !retry {
+                self.complete_grant(thread, vpn, violations);
+            } else if let Some(access) = self.retry_access(thread, vpn, violations) {
+                self.threads[thread] = ThreadState::Backoff { vpn, access };
             }
         }
+        for send in out.sends {
+            self.post(home, send, violations);
+        }
     }
 
-    fn complete_grant(
-        &mut self,
+    /// The access a retry bounces. A retry addressed to a thread with no
+    /// outstanding request is a violation: the faithful protocol never
+    /// does this, so surface it instead of crashing the checker (mutated
+    /// protocols do reach this state).
+    fn retry_access(
+        &self,
         thread: usize,
         vpn: Vpn,
-        access: Access,
         violations: &mut Vec<Violation>,
-    ) {
-        if let ThreadState::Follower { leader, .. } = self.threads[thread] {
+    ) -> Option<Access> {
+        match self.threads[thread] {
+            ThreadState::Waiting { access, .. }
+            | ThreadState::Backoff { access, .. }
+            | ThreadState::Follower { access, .. } => Some(access),
+            ThreadState::Idle => {
+                violations.push(Violation {
+                    invariant: "request/response pairing",
+                    detail: format!(
+                        "retry for page {} addressed to idle thread T{thread}",
+                        vpn.index()
+                    ),
+                });
+                None
+            }
+        }
+    }
+
+    /// Puts a message sent by node `from` to node `to` in flight.
+    fn post(&mut self, from: NodeId, (to, msg): Outbound<()>, violations: &mut Vec<Violation>) {
+        let m = match msg {
+            DexMsg::PageGrant {
+                vpn,
+                access,
+                data,
+                retry: false,
+                req_id,
+                ..
+            } => Msg::Grant {
+                from,
+                thread: req_id as usize,
+                vpn,
+                access,
+                with_data: data.is_some(),
+            },
+            DexMsg::PageGrant {
+                vpn,
+                retry: true,
+                req_id,
+                ..
+            } => {
+                let thread = req_id as usize;
+                let Some(access) = self.retry_access(thread, vpn, violations) else {
+                    return;
+                };
+                Msg::Retry {
+                    from,
+                    thread,
+                    vpn,
+                    access,
+                }
+            }
+            DexMsg::Flush { vpn, .. } => Msg::Flush { to, vpn },
+            DexMsg::FlushAck { vpn, .. } => Msg::FlushAck { vpn, from },
+            DexMsg::Invalidate {
+                vpn, needs_data, ..
+            } => Msg::Invalidate {
+                to,
+                vpn,
+                needs_data,
+            },
+            DexMsg::InvalidateAck { vpn, data, .. } => Msg::InvAck {
+                vpn,
+                from,
+                carried_data: data.is_some(),
+            },
+            DexMsg::InvalidateBatch { entries, .. } => {
+                for (vpn, needs_data) in entries {
+                    self.msgs.push(Msg::InvBatch {
+                        to,
+                        vpn,
+                        needs_data,
+                    });
+                }
+                return;
+            }
+            DexMsg::InvalidateBatchAck { entries, .. } => {
+                for (vpn, data) in entries {
+                    self.msgs.push(Msg::InvBatchAck {
+                        vpn,
+                        from,
+                        carried_data: data.is_some(),
+                    });
+                }
+                return;
+            }
+            DexMsg::OwnerForward {
+                vpn,
+                access,
+                req_id,
+                ..
+            } => Msg::Forward {
+                to,
+                thread: req_id as usize,
+                vpn,
+                access,
+            },
+            DexMsg::OwnerAck { vpn, access, .. } => Msg::OwnerAck { vpn, from, access },
+            other => unreachable!("protocol steps never emit {other:?}"),
+        };
+        self.msgs.push(m);
+    }
+
+    /// Completes `thread`'s fault (its node's mapping is already
+    /// installed) and releases its coalesced followers.
+    fn complete_grant(&mut self, thread: usize, vpn: Vpn, violations: &mut Vec<Violation>) {
+        if let ThreadState::Follower { leader, access, .. } = self.threads[thread] {
             violations.push(Violation {
                 invariant: "leader-follower ordering",
                 detail: format!(
@@ -1247,22 +1092,10 @@ impl ModelState {
                 ),
             });
         }
-        let node = self.thread_node(thread);
-        let table = &mut self.ptes[node.0 as usize];
-        match access {
-            Access::Write => table.set(vpn, Pte::READ_WRITE),
-            Access::Read => {
-                // The degenerate read-grant to the current writer keeps
-                // the writable mapping.
-                if !table.entry(vpn).writable {
-                    table.set(vpn, Pte::READ_ONLY);
-                }
-            }
-        }
         self.threads[thread] = ThreadState::Idle;
         // Release coalesced followers: the leader installed the mapping
         // on behalf of the whole node.
-        if self.config.mutation != Mutation::DropWakeup {
+        if self.config.mutation != ProtocolMutation::DropWakeup {
             for u in 0..self.threads.len() {
                 if let ThreadState::Follower { leader, .. } = self.threads[u] {
                     if leader == thread {
@@ -1502,7 +1335,7 @@ mod tests {
 
     #[test]
     fn skip_invalidate_mutation_is_caught() {
-        let cfg = ModelConfig::new(3, 1).with_mutation(Mutation::SkipInvalidateApply);
+        let cfg = ModelConfig::new(3, 1).with_mutation(ProtocolMutation::SkipInvalidate);
         let mut state = ModelState::new(cfg);
         let vpn = Vpn::new(0);
         // Node 1 reads (replica), then node 2 writes (revokes node 1).
@@ -1526,7 +1359,7 @@ mod tests {
 
     #[test]
     fn drop_ack_mutation_prevents_drain() {
-        let cfg = ModelConfig::new(3, 1).with_mutation(Mutation::DropInvAck);
+        let cfg = ModelConfig::new(3, 1).with_mutation(ProtocolMutation::DropInvAck);
         let mut state = ModelState::new(cfg);
         let vpn = Vpn::new(0);
         let mut v = state.apply(ModelEvent::Issue {
@@ -1690,7 +1523,7 @@ mod tests {
     fn sharded_keep_origin_pte_mutation_is_caught() {
         let cfg = ModelConfig::new(3, 1)
             .with_sharding()
-            .with_mutation(Mutation::KeepOriginPte);
+            .with_mutation(ProtocolMutation::KeepOriginPte);
         let mut state = ModelState::new(cfg);
         let vpn = Vpn::new(0);
         let mut violations = state.apply(ModelEvent::Issue {

@@ -21,8 +21,8 @@ use dex_sim::{SimChannel, SimCtx, SimDuration};
 
 use crate::directory::DirAction;
 use crate::msg::{DexMsg, MigrationPhases, VmaOp};
-use crate::mutation::ProtocolMutation;
 use crate::process::{DeferredWork, DelegationJob, ProcessShared, Reply};
+use crate::protocol::{self, HomeOutcome, Revocation};
 use crate::span::{Span, SpanId, SpanKind};
 use crate::trace::{FaultEvent, FaultKind};
 
@@ -175,12 +175,8 @@ pub(crate) fn dispatcher_loop(
             DexMsg::Flush { pid, vpn } => {
                 let shared = registry.get(pid);
                 ctx.advance(shared.cost.protocol_handling);
-                let data = {
-                    let mut space = shared.space(node).lock();
-                    space.page_table.downgrade(vpn);
-                    space.frame(vpn).cloned().unwrap_or_else(PageFrame::zeroed)
-                };
-                endpoint.send_traced(ctx, from, DexMsg::FlushAck { pid, vpn, data }, span);
+                let (to, ack) = protocol::flush(&mut *shared.space(node).lock(), pid, from, vpn);
+                endpoint.send_traced(ctx, to, ack, span);
             }
             DexMsg::FlushAck { pid, vpn, data } => {
                 let shared = registry.get(pid);
@@ -377,10 +373,50 @@ fn handle_page_request(
     }
 }
 
+/// Runs the home step at `home` under its address-space lock, so the
+/// directory transition's local PTE/frame changes are atomic (no yield).
+/// Contents staged for a grant that still waits on acks are kept until
+/// the transaction's last ack. Shared by the inline fault path at the
+/// home and the dispatcher.
+pub(crate) fn home_step_at(
+    shared: &ProcessShared,
+    home: NodeId,
+    vpn: Vpn,
+    actions: Vec<DirAction>,
+    staged: Option<PageFrame>,
+) -> HomeOutcome<PageFrame> {
+    let mut out = protocol::home_step(
+        &mut *shared.space(home).lock(),
+        shared.rules(),
+        home,
+        vpn,
+        actions,
+        staged,
+    );
+    for (_, msg) in &out.sends {
+        if let DexMsg::OwnerForward { .. } = msg {
+            shared.stats.counters.incr("protocol.forwards");
+            if let Some(m) = &shared.metrics {
+                m.node(home).incr("protocol.forwards");
+            }
+        }
+    }
+    if out.zero_fills > 0 {
+        shared
+            .stats
+            .counters
+            .add("protocol.zero_page_grants", out.zero_fills);
+    }
+    if let Some(frame) = out.staged.take() {
+        shared.stage_frame(home, vpn, frame);
+    }
+    out
+}
+
 /// Applies directory actions at the handling node (`home`: the origin
-/// classically, the page's home shard otherwise): local PTE/frame changes
-/// happen atomically (no yield), then grants/messages are sent. Also the
-/// engine behind crash recovery's page reclamation (`handle_node_crash`).
+/// classically, the page's home shard otherwise): the home step, then
+/// local completions and sends. Also the engine behind crash recovery's
+/// page reclamation (`handle_node_crash`).
 ///
 /// `span` rides every outgoing message, so grants/invalidations carry the
 /// directory-handling span of the transaction that produced them.
@@ -392,183 +428,16 @@ pub(crate) fn apply_origin_actions(
     home: NodeId,
     vpn: Vpn,
     actions: Vec<DirAction>,
-    mut staged: Option<PageFrame>,
+    staged: Option<PageFrame>,
     span: SpanContext,
 ) {
-    let mut sends: Vec<(NodeId, DexMsg)> = Vec::new();
-    let mut local_completions: Vec<(u64, Reply)> = Vec::new();
-    {
-        let mut space = shared.space(home).lock();
-        for action in actions {
-            match action {
-                DirAction::Grant {
-                    to,
-                    access,
-                    with_data,
-                } => match to {
-                    crate::directory::Requester::Remote { node, req_id } => {
-                        // Data source: contents staged by this transaction
-                        // (a data-carrying ack or the home's own dropped
-                        // copy), else the handling node's frame. A page
-                        // the origin never materialized is the kernel
-                        // zero page; with the optimization enabled the
-                        // receiver zero-fills locally instead of pulling
-                        // 4 KiB of zeros over the wire.
-                        let data = if with_data {
-                            match staged.take().or_else(|| space.frame(vpn).cloned()) {
-                                // Mutation: grant a zeroed page instead of
-                                // the live frame, losing every write.
-                                Some(_) if shared.mutation == ProtocolMutation::StaleGrantData => {
-                                    Some(PageFrame::zeroed())
-                                }
-                                Some(frame) => Some(frame),
-                                None if shared.cost.zero_page_optimization => {
-                                    shared.stats.counters.incr("protocol.zero_page_grants");
-                                    None
-                                }
-                                None => Some(PageFrame::zeroed()),
-                            }
-                        } else {
-                            None
-                        };
-                        sends.push((
-                            node,
-                            DexMsg::PageGrant {
-                                pid: shared.pid,
-                                vpn,
-                                access,
-                                data,
-                                retry: false,
-                                req_id,
-                            },
-                        ));
-                    }
-                    crate::directory::Requester::Local { req_id } => {
-                        if let Some(frame) = staged.take() {
-                            // A completed forwarded transaction staged the
-                            // contents for the home's own waiter.
-                            space.install_frame(vpn, frame);
-                        }
-                        space.page_table.set(
-                            vpn,
-                            if access.is_write() {
-                                Pte::READ_WRITE
-                            } else {
-                                Pte::READ_ONLY
-                            },
-                        );
-                        let _ = space.frame_mut(vpn);
-                        local_completions.push((req_id, Reply::PageGrant { retry: false }));
-                    }
-                },
-                DirAction::Retry { to } => match to {
-                    crate::directory::Requester::Remote { node, req_id } => {
-                        sends.push((
-                            node,
-                            DexMsg::PageGrant {
-                                pid: shared.pid,
-                                vpn,
-                                access: Access::Read,
-                                data: None,
-                                retry: true,
-                                req_id,
-                            },
-                        ));
-                    }
-                    crate::directory::Requester::Local { req_id } => {
-                        local_completions.push((req_id, Reply::PageGrant { retry: true }));
-                    }
-                },
-                DirAction::SendFlush { to } => {
-                    sends.push((
-                        to,
-                        DexMsg::Flush {
-                            pid: shared.pid,
-                            vpn,
-                        },
-                    ));
-                }
-                DirAction::SendInvalidate { to, needs_data } => {
-                    sends.push((
-                        to,
-                        DexMsg::Invalidate {
-                            pid: shared.pid,
-                            vpn,
-                            needs_data,
-                        },
-                    ));
-                }
-                DirAction::ClearOriginPte => {
-                    // Mutation: the origin keeps its PTE after handing
-                    // ownership away, so origin accesses bypass the
-                    // protocol and read stale data.
-                    if shared.mutation == ProtocolMutation::KeepOriginPte {
-                        continue;
-                    }
-                    space.page_table.clear(vpn);
-                }
-                DirAction::DowngradeOriginPte => {
-                    space.page_table.downgrade(vpn);
-                }
-                DirAction::SetOriginPteRo => {
-                    space.page_table.set(vpn, Pte::READ_ONLY);
-                }
-                DirAction::InstallOriginData => {
-                    if let Some(frame) = staged.clone() {
-                        space.install_frame(vpn, frame);
-                    }
-                }
-                DirAction::Forward {
-                    to,
-                    requester,
-                    access,
-                } => {
-                    let (rnode, req_id) = match requester {
-                        crate::directory::Requester::Remote { node, req_id } => (node, req_id),
-                        crate::directory::Requester::Local { req_id } => (home, req_id),
-                    };
-                    shared.stats.counters.incr("protocol.forwards");
-                    if let Some(m) = &shared.metrics {
-                        m.node(home).incr("protocol.forwards");
-                    }
-                    sends.push((
-                        to,
-                        DexMsg::OwnerForward {
-                            pid: shared.pid,
-                            vpn,
-                            access,
-                            requester: rnode,
-                            req_id,
-                        },
-                    ));
-                }
-                DirAction::SendInvalidateBatch { to, entries } => {
-                    sends.push((
-                        to,
-                        DexMsg::InvalidateBatch {
-                            pid: shared.pid,
-                            entries,
-                        },
-                    ));
-                }
-                DirAction::DropHomeCopy { needs_data } => {
-                    if needs_data {
-                        // The home's copy is the elected data source:
-                        // stage it for the grant before dropping it.
-                        staged = Some(space.frame(vpn).cloned().unwrap_or_else(PageFrame::zeroed));
-                    }
-                    space.page_table.clear(vpn);
-                    space.evict_frame(vpn);
-                }
-            }
-        }
-    }
+    let out = home_step_at(shared, home, vpn, actions, staged);
     // Local waiters were parked at the handling node: retry completions
     // must be delivered like grants.
-    for (req_id, reply) in local_completions {
-        shared.complete_pending(ctx, home, req_id, reply);
+    for (req_id, retry) in out.local {
+        shared.complete_pending(ctx, home, req_id, Reply::PageGrant { retry });
     }
-    for (to, msg) in sends {
+    for (to, msg) in out.sends {
         endpoint.send_traced(ctx, to, msg, span);
     }
 }
@@ -652,20 +521,19 @@ fn run_deferred(
             needs_data,
             span,
         } => {
-            let data = invalidate_local(shared, node, vpn, needs_data);
+            let ack = protocol::revoke(
+                &mut *shared.space(node).lock(),
+                shared.rules(),
+                home,
+                Revocation::Batch(vec![(vpn, needs_data)]),
+            );
             shared.stats.counters.incr("protocol.invalidations");
             if let Some(m) = &shared.metrics {
                 m.node(node).incr("dsm.invalidations");
             }
-            endpoint.send_traced(
-                ctx,
-                home,
-                DexMsg::InvalidateBatchAck {
-                    pid: shared.pid,
-                    entries: vec![(vpn, data)],
-                },
-                span,
-            );
+            if let Some((to, ack)) = ack {
+                endpoint.send_traced(ctx, to, ack, span);
+            }
         }
         DeferredWork::Forward {
             home,
@@ -701,56 +569,23 @@ fn handle_owner_forward(
     let t0 = ctx.now();
     let handling = shared.spans.is_enabled().then(|| shared.spans.alloc_id());
     ctx.advance(shared.cost.forward_handling);
-    let data = {
-        let mut space = shared.space(node).lock();
-        let frame = space.frame(vpn).cloned().unwrap_or_else(PageFrame::zeroed);
-        if access.is_write() {
-            // Mutation: the owner keeps its mapping after handing
-            // exclusivity away (the sharded analogue of keep-origin-pte),
-            // so its threads keep reading the stale copy.
-            if shared.mutation != ProtocolMutation::KeepOriginPte {
-                space.page_table.clear(vpn);
-                space.evict_frame(vpn);
-            }
-        } else {
-            // The owner keeps a shared copy, downgrading if it was the
-            // exclusive writer.
-            space.page_table.downgrade(vpn);
-        }
-        if shared.mutation == ProtocolMutation::StaleGrantData {
-            PageFrame::zeroed()
-        } else {
-            frame
-        }
-    };
+    let out = protocol::owner_forward(
+        &mut *shared.space(node).lock(),
+        shared.rules(),
+        from,
+        vpn,
+        access,
+        requester,
+        req_id,
+    );
     shared.stats.counters.incr("protocol.forwards_serviced");
     if let Some(m) = &shared.metrics {
         m.node(node).incr("protocol.forwards_serviced");
     }
-    let out = handling.map_or(span, |id| SpanContext(id.0));
-    endpoint.send_traced(
-        ctx,
-        requester,
-        DexMsg::PageGrant {
-            pid: shared.pid,
-            vpn,
-            access,
-            data: Some(data),
-            retry: false,
-            req_id,
-        },
-        out,
-    );
-    endpoint.send_traced(
-        ctx,
-        from,
-        DexMsg::OwnerAck {
-            pid: shared.pid,
-            vpn,
-            access,
-        },
-        out,
-    );
+    let span_out = handling.map_or(span, |id| SpanContext(id.0));
+    for (to, msg) in out {
+        endpoint.send_traced(ctx, to, msg, span_out);
+    }
     if let Some(id) = handling {
         shared.spans.record(Span {
             id,
@@ -770,36 +605,6 @@ fn handle_owner_forward(
     }
 }
 
-/// Clears a node's copy of one page for an invalidation, returning the
-/// contents when the ack must carry them. Shared by the unicast and
-/// batched invalidation paths.
-fn invalidate_local(
-    shared: &Arc<ProcessShared>,
-    node: NodeId,
-    vpn: Vpn,
-    needs_data: bool,
-) -> Option<PageFrame> {
-    let mut space = shared.space(node).lock();
-    let data = if needs_data {
-        // Mutation: ack with a zeroed page instead of the dirty frame,
-        // dropping this node's writes on ownership transfer.
-        if shared.mutation == ProtocolMutation::LoseInvalidateData {
-            Some(PageFrame::zeroed())
-        } else {
-            Some(space.frame(vpn).cloned().unwrap_or_else(PageFrame::zeroed))
-        }
-    } else {
-        None
-    };
-    // Mutation: ack the invalidation but keep the local PTE and frame,
-    // so this node keeps reading its stale copy.
-    if shared.mutation != ProtocolMutation::SkipInvalidateClear {
-        space.page_table.clear(vpn);
-        space.evict_frame(vpn);
-    }
-    data
-}
-
 /// A node's handling of a batched ownership revocation (sharded mode):
 /// every doomed replica the home condemned at this node is cleared in one
 /// message, acknowledged with one aggregated ack, and accounted as one
@@ -817,26 +622,25 @@ fn handle_invalidate_batch(
     let t0 = ctx.now();
     let inval = shared.spans.is_enabled().then(|| shared.spans.alloc_id());
     ctx.advance(shared.cost.protocol_handling);
-    let mut acks: Vec<(Vpn, Option<PageFrame>)> = Vec::new();
-    let mut carried = false;
-    for (vpn, needs_data) in entries {
-        if shared.inflight(node, vpn) {
-            // The grant for this page is still in flight on another
-            // channel: revoking now would ack a copy the node does not
-            // hold yet. Defer; the ack follows the grant.
-            shared.defer_work(
-                node,
-                vpn,
-                DeferredWork::Invalidate {
-                    home: from,
-                    needs_data,
-                    span,
-                },
-            );
-            continue;
-        }
-        let data = invalidate_local(shared, node, vpn, needs_data);
-        carried |= data.is_some();
+    // The grant for a deferred page is still in flight on another
+    // channel: revoking now would ack a copy the node does not hold yet.
+    // The ack follows the grant.
+    let (deferred, now): (Vec<_>, Vec<_>) = entries
+        .into_iter()
+        .partition(|&(vpn, _)| shared.inflight(node, vpn));
+    for (vpn, needs_data) in deferred {
+        shared.defer_work(
+            node,
+            vpn,
+            DeferredWork::Invalidate {
+                home: from,
+                needs_data,
+                span,
+            },
+        );
+    }
+    let carried = now.iter().any(|&(_, needs_data)| needs_data);
+    for &(vpn, _) in &now {
         shared.stats.counters.incr("protocol.invalidations");
         if let Some(m) = &shared.metrics {
             m.node(node).incr("dsm.invalidations");
@@ -852,8 +656,15 @@ fn handle_invalidate_batch(
                 tag: shared.tag_for(shared.origin, vpn.base()),
             });
         }
-        acks.push((vpn, data));
     }
+    // One aggregated ack for every entry applied now; deferred entries
+    // follow in partial acks of their own.
+    let ack = protocol::revoke(
+        &mut *shared.space(node).lock(),
+        shared.rules(),
+        from,
+        Revocation::Batch(now),
+    );
     shared.stats.counters.incr("protocol.invalidate_batches");
     if let Some(m) = &shared.metrics {
         m.node(node).incr("protocol.invalidate_batches");
@@ -875,19 +686,10 @@ fn handle_invalidate_batch(
             tag: None,
         });
     }
-    // One aggregated ack for every entry applied now; deferred entries
-    // follow in partial acks of their own. The ack echoes the incoming
-    // directory span so the home's deferred grant stays stitched.
-    if !acks.is_empty() {
-        endpoint.send_traced(
-            ctx,
-            from,
-            DexMsg::InvalidateBatchAck {
-                pid: shared.pid,
-                entries: acks,
-            },
-            span,
-        );
+    // The ack echoes the incoming directory span so the home's deferred
+    // grant stays stitched.
+    if let Some((to, ack)) = ack {
+        endpoint.send_traced(ctx, to, ack, span);
     }
 }
 
@@ -906,27 +708,12 @@ fn handle_invalidate(
     let t0 = ctx.now();
     let inval = shared.spans.is_enabled().then(|| shared.spans.alloc_id());
     ctx.advance(shared.cost.protocol_handling);
-    let data = {
-        let mut space = shared.space(node).lock();
-        let data = if needs_data {
-            // Mutation: ack with a zeroed page instead of the dirty
-            // frame, dropping this node's writes on ownership transfer.
-            if shared.mutation == ProtocolMutation::LoseInvalidateData {
-                Some(PageFrame::zeroed())
-            } else {
-                Some(space.frame(vpn).cloned().unwrap_or_else(PageFrame::zeroed))
-            }
-        } else {
-            None
-        };
-        // Mutation: ack the invalidation but keep the local PTE and
-        // frame, so this node keeps reading its stale copy.
-        if shared.mutation != ProtocolMutation::SkipInvalidateClear {
-            space.page_table.clear(vpn);
-            space.evict_frame(vpn);
-        }
-        data
-    };
+    let ack = protocol::revoke(
+        &mut *shared.space(node).lock(),
+        shared.rules(),
+        from,
+        Revocation::Page { vpn, needs_data },
+    );
     if shared.trace.is_enabled() {
         shared.trace.record(FaultEvent {
             time: ctx.now(),
@@ -962,16 +749,9 @@ fn handle_invalidate(
     // The ack echoes the *incoming* (directory) span, not the local
     // invalidation span, so the origin's deferred grant stays parented to
     // the directory transaction that caused the fan-out.
-    endpoint.send_traced(
-        ctx,
-        from,
-        DexMsg::InvalidateAck {
-            pid: shared.pid,
-            vpn,
-            data,
-        },
-        span,
-    );
+    if let Some((to, ack)) = ack {
+        endpoint.send_traced(ctx, to, ack, span);
+    }
 }
 
 /// Remote-node handling of a forward migration: create the per-process

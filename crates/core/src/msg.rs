@@ -97,8 +97,11 @@ pub enum VmaOp {
 pub type MigrationPhases = Vec<(&'static str, SimDuration)>;
 
 /// A DEX inter-node message.
+///
+/// Page contents ride as `F`: real frames on the wire, `()` in the
+/// protocol model, which drives the same node-side steps.
 #[derive(Debug)]
-pub enum DexMsg {
+pub enum DexMsg<F = PageFrame> {
     // ---- memory consistency protocol (§III-B) ----
     /// A node requests ownership of (and possibly data for) a page.
     PageRequest {
@@ -121,7 +124,7 @@ pub enum DexMsg {
         access: Access,
         /// Page contents; `None` when the requester's copy is up to date
         /// (the paper's no-transfer optimization) or on retry.
-        data: Option<PageFrame>,
+        data: Option<F>,
         /// The request conflicted with an in-flight transaction; back off
         /// and resend.
         retry: bool,
@@ -145,7 +148,7 @@ pub enum DexMsg {
         /// Acknowledged page.
         vpn: Vpn,
         /// The up-to-date contents, when requested.
-        data: Option<PageFrame>,
+        data: Option<F>,
     },
     /// The origin asks the exclusive writer to downgrade to shared and
     /// ship the current contents.
@@ -162,7 +165,7 @@ pub enum DexMsg {
         /// Flushed page.
         vpn: Vpn,
         /// Up-to-date contents.
-        data: PageFrame,
+        data: F,
     },
 
     // ---- sharded directory / owner forwarding ----
@@ -210,7 +213,7 @@ pub enum DexMsg {
         /// Owning process.
         pid: Pid,
         /// `(page, contents)` per acknowledged replica.
-        entries: Vec<(Vpn, Option<PageFrame>)>,
+        entries: Vec<(Vpn, Option<F>)>,
     },
 
     // ---- on-demand VMA synchronization (§III-D) ----
@@ -371,7 +374,7 @@ mod tests {
 
     #[test]
     fn control_messages_are_small() {
-        let m = DexMsg::PageRequest {
+        let m: DexMsg = DexMsg::PageRequest {
             pid: Pid(1),
             vpn: Vpn::new(7),
             access: Access::Write,
@@ -408,7 +411,7 @@ mod tests {
 
     #[test]
     fn migration_context_dominates_its_message_size() {
-        let m = DexMsg::MigrateRequest {
+        let m: DexMsg = DexMsg::MigrateRequest {
             pid: Pid(1),
             tid: Tid(2),
             context: ExecutionContext::default(),

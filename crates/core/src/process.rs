@@ -229,9 +229,10 @@ pub struct ProcessShared {
     /// Per-node deferred protocol work (see [`DeferredWork`]), at most
     /// one entry per page (homes serialize transactions per page).
     pub(crate) deferred_work: Vec<Mutex<HashMap<Vpn, DeferredWork>>>,
-    /// Page contents a home received in a batch-invalidation ack, staged
-    /// until the transaction's grant consumes them (in sharded mode the
-    /// home's own frame is not part of the transfer).
+    /// Page contents a home received in a batch-invalidation ack, or its
+    /// own copy dropped as the elected data source, staged until the
+    /// transaction's grant consumes them (in sharded mode the home's own
+    /// frame is not part of the transfer).
     pub(crate) staged_frames: Mutex<HashMap<(NodeId, Vpn), PageFrame>>,
     /// Origin-side futex wait queues (waiters keyed by request id).
     pub futex: Mutex<FutexTable>,
@@ -492,7 +493,7 @@ impl ProcessShared {
         );
     }
 
-    /// Stages page contents a batch-invalidation ack carried to `home`,
+    /// Stages page contents for the open transaction on `vpn` at `home`,
     /// replacing any stale leftover for the page.
     pub(crate) fn stage_frame(&self, home: NodeId, vpn: Vpn, frame: PageFrame) {
         self.staged_frames.lock().insert((home, vpn), frame);
@@ -501,6 +502,15 @@ impl ProcessShared {
     /// Takes the staged contents for `vpn` at `home`, if any.
     pub(crate) fn take_staged(&self, home: NodeId, vpn: Vpn) -> Option<PageFrame> {
         self.staged_frames.lock().remove(&(home, vpn))
+    }
+
+    /// What the node-side protocol steps need besides a node's pages.
+    pub(crate) fn rules(&self) -> crate::protocol::Rules {
+        crate::protocol::Rules {
+            pid: self.pid,
+            mutation: self.mutation,
+            zero_fill: self.cost.zero_page_optimization,
+        }
     }
 
     /// Bump-allocates `len` bytes in the shared heap with the given
@@ -788,7 +798,7 @@ impl ProcessShared {
                     home,
                     vpn,
                     actions,
-                    None,
+                    self.take_staged(home, vpn),
                     SpanContext::NONE,
                 );
             }

@@ -140,6 +140,13 @@ impl DexBarrier {
         self.parties
     }
 
+    /// The shared words behind the barrier: `(arrival count, generation)`.
+    /// Lets a finished run be inspected with
+    /// [`ProcessShared::read_coherent`](crate::ProcessShared::read_coherent).
+    pub fn words(&self) -> (VirtAddr, VirtAddr) {
+        (self.count, self.generation)
+    }
+
     /// Arrives at the barrier and blocks until all parties have arrived.
     /// Returns `true` to exactly one arriver per round (the "serial"
     /// thread, as in `pthread_barrier_wait`).

@@ -20,7 +20,7 @@ use dex_net::{NodeId, SpanContext};
 use dex_os::{Access, ExecutionContext, MemFault, Prot, Tid, VirtAddr, VmaKind, Vpn, PAGE_SIZE};
 use dex_sim::{SimChannel, SimCtx, SimDuration, ThreadId};
 
-use crate::directory::{DirAction, Requester};
+use crate::directory::Requester;
 use crate::msg::{DelegatedOp, DexMsg, VmaOp};
 use crate::process::{DelegationJob, FaultEntry, MigrationSample, ProcessShared, Reply, WaitError};
 use crate::race::{RaceEvent, RaceEventKind};
@@ -680,111 +680,18 @@ impl<'a> ThreadCtx<'a> {
         // Apply local actions and gather sends *without yielding*, so the
         // directory transition and the PTE changes are atomic with respect
         // to other simulated threads.
-        let mut sends: Vec<(NodeId, DexMsg)> = Vec::new();
-        let mut granted = false;
-        let mut retry = false;
-        let mut opened_txn = false;
-        {
-            let mut space = shared.space(node).lock();
-            for action in &actions {
-                match action {
-                    DirAction::Grant { access, .. } => {
-                        space.page_table.set(
-                            vpn,
-                            if access.is_write() {
-                                dex_os::Pte::READ_WRITE
-                            } else {
-                                dex_os::Pte::READ_ONLY
-                            },
-                        );
-                        // Touch the frame so reads observe the page even
-                        // if it was never written.
-                        let _ = space.frame_mut(vpn);
-                        granted = true;
-                    }
-                    DirAction::Retry { .. } => retry = true,
-                    DirAction::ClearOriginPte => space.page_table.clear(vpn),
-                    DirAction::DowngradeOriginPte => space.page_table.downgrade(vpn),
-                    DirAction::SendFlush { to } => {
-                        opened_txn = true;
-                        sends.push((
-                            *to,
-                            DexMsg::Flush {
-                                pid: shared.pid,
-                                vpn,
-                            },
-                        ));
-                    }
-                    DirAction::SendInvalidate { to, needs_data } => {
-                        opened_txn = true;
-                        sends.push((
-                            *to,
-                            DexMsg::Invalidate {
-                                pid: shared.pid,
-                                vpn,
-                                needs_data: *needs_data,
-                            },
-                        ));
-                    }
-                    DirAction::Forward {
-                        to,
-                        access: fwd_access,
-                        ..
-                    } => {
-                        // Sharded mode: the current owner grants straight
-                        // to us (the home); the home's directory waits for
-                        // its async ownership ack.
-                        opened_txn = true;
-                        shared.stats.counters.incr("protocol.forwards");
-                        if let Some(m) = &shared.metrics {
-                            m.node(node).incr("protocol.forwards");
-                        }
-                        sends.push((
-                            *to,
-                            DexMsg::OwnerForward {
-                                pid: shared.pid,
-                                vpn,
-                                access: *fwd_access,
-                                requester: node,
-                                req_id,
-                            },
-                        ));
-                    }
-                    DirAction::SendInvalidateBatch { to, entries } => {
-                        opened_txn = true;
-                        sends.push((
-                            *to,
-                            DexMsg::InvalidateBatch {
-                                pid: shared.pid,
-                                entries: entries.clone(),
-                            },
-                        ));
-                    }
-                    DirAction::DropHomeCopy { .. } => {
-                        // A local requester is never elected as a doomed
-                        // replica holder: the directory skips the
-                        // requesting node when revoking.
-                        unreachable!("home asked to drop its copy for its own request")
-                    }
-                    DirAction::SetOriginPteRo | DirAction::InstallOriginData => {
-                        unreachable!("ack-only action out of request()")
-                    }
-                }
-            }
-        }
-        if granted {
-            return (true, true);
-        }
-        if retry {
-            return (false, false);
+        let out = crate::dispatch::home_step_at(shared, node, vpn, actions, None);
+        if let Some(&(_, retry)) = out.local.first() {
+            // Granted inline (a minor fault), or told to retry.
+            return (!retry, !retry);
         }
         assert!(
-            opened_txn,
+            !out.sends.is_empty(),
             "request must grant, retry, or open a transaction"
         );
         let slot = shared.register_pending(ctx, node, req_id);
         let endpoint = self.endpoint(node);
-        for (to, msg) in sends {
+        for (to, msg) in out.sends {
             endpoint.send_traced(ctx, to, msg, span);
         }
         match shared.wait_reply_watching(ctx, &slot, node, req_id, None, false) {

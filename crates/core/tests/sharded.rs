@@ -130,3 +130,34 @@ fn sharded_prefetch_grants_across_homes() {
         dir.lock().check_invariants().expect("shards consistent");
     }
 }
+
+#[test]
+fn sharded_barrier_completes_with_its_words_updated() {
+    // Regression: with the home's own replica elected as the data source
+    // while another replica's batch ack was outstanding, the staged copy
+    // was dropped and the grant shipped a zeroed page. The barrier's
+    // count update was lost, both parties futex-waited forever, and the
+    // run failed with `SimError::Deadlock`.
+    for shards in [2, 4] {
+        let cluster = Cluster::new(ClusterConfig::new(4).with_directory_shards(shards));
+        let mut words = None;
+        let report = cluster.run(|p| {
+            let barrier = p.new_barrier(2, "barrier");
+            words = Some(barrier.words());
+            for node in 1..=2u16 {
+                p.spawn(move |ctx| {
+                    ctx.migrate(node).unwrap();
+                    barrier.wait(ctx);
+                });
+            }
+        });
+        let (count, generation) = words.expect("allocated");
+        let read = |addr| {
+            let mut buf = [0u8; 4];
+            report.process().read_coherent(addr, &mut buf);
+            u32::from_le_bytes(buf)
+        };
+        assert_eq!(read(count), 0, "{shards} shards: count reset");
+        assert_eq!(read(generation), 1, "{shards} shards: one generation");
+    }
+}

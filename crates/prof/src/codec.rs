@@ -36,48 +36,24 @@ use dex_sim::SimTime;
 pub const TRACE_HEADER: &str = "# dex-trace v1";
 
 /// Escapes a free-form field so it survives the tab-separated,
-/// line-oriented container losslessly.
+/// line-oriented container losslessly: [`dex_sim::escape_field`] plus the
+/// two whole-field sentinels `\e` (the empty string) and `\-` (a literal
+/// `-`, distinct from the "no tag" marker).
 pub fn escape_field(s: &str) -> String {
-    if s.is_empty() {
-        return "\\e".to_string();
+    match s {
+        "" => "\\e".to_string(),
+        "-" => "\\-".to_string(),
+        s => dex_sim::escape_field(s),
     }
-    if s == "-" {
-        return "\\-".to_string();
-    }
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Reverses [`escape_field`]. Errors on truncated or unknown escapes.
 pub fn unescape_field(s: &str) -> Result<String, String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('\\') => out.push('\\'),
-            Some('t') => out.push('\t'),
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('-') => out.push('-'),
-            Some('e') => {} // the empty-string sentinel expands to nothing
-            Some(other) => return Err(format!("unknown escape `\\{other}`")),
-            None => return Err("truncated escape at end of field".to_string()),
-        }
+    match s {
+        "\\e" => Ok(String::new()),
+        "\\-" => Ok("-".to_string()),
+        s => dex_sim::unescape_field(s),
     }
-    Ok(out)
 }
 
 /// Serializes `events` into the versioned text format.

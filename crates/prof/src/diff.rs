@@ -16,6 +16,7 @@ use std::fmt::Write as _;
 use dex_core::{Span, SpanKind};
 use dex_net::TimeSeries;
 
+use crate::perf::BenchResult;
 use crate::series_codec::{decode_series, SERIES_HEADER};
 use crate::span_codec::{decode_spans, SPANS_HEADER};
 
@@ -199,67 +200,14 @@ pub fn diff_bench(base: &[(String, u64)], cand: &[(String, u64)]) -> Vec<DiffRow
     rows_from(map, |k| k.clone())
 }
 
-/// The flat numeric fields of a `dex-bench v1` JSON file, in document
-/// order. A deliberately small parser: the writer (`dex_bench::perf`)
-/// emits one flat object of string and integer fields, and only the
-/// integers matter to a diff.
-pub fn bench_numeric_fields(text: &str) -> Result<Vec<(String, u64)>, String> {
-    let mut fields = Vec::new();
-    let mut chars = text.char_indices().peekable();
-    let mut key: Option<String> = None;
-    while let Some((i, c)) = chars.next() {
-        match c {
-            '"' => {
-                let mut s = String::new();
-                loop {
-                    match chars.next() {
-                        Some((_, '"')) => break,
-                        Some((_, '\\')) => match chars.next() {
-                            Some((_, e)) => s.push(e),
-                            None => return Err("unterminated escape".into()),
-                        },
-                        Some((_, c)) => s.push(c),
-                        None => return Err(format!("unterminated string at byte {i}")),
-                    }
-                }
-                if key.is_none() {
-                    key = Some(s);
-                }
-            }
-            ':' => {}
-            c if c.is_ascii_digit() => {
-                let mut n = String::from(c);
-                while let Some(&(_, d)) = chars.peek() {
-                    if d.is_ascii_digit() {
-                        n.push(d);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                let name = key
-                    .take()
-                    .ok_or(format!("number without a key at byte {i}"))?;
-                let value = n.parse().map_err(|e| format!("field {name}: {e}"))?;
-                fields.push((name, value));
-            }
-            ',' | '}' => key = None,
-            _ => {}
-        }
-    }
-    if fields.is_empty() {
-        return Err("no numeric fields found (is this a dex-bench v1 file?)".into());
-    }
-    Ok(fields)
-}
-
 /// One decoded diffable artifact, sniffed by its header.
 pub enum DiffInput {
     /// A `# dex-spans v1` span trace.
     Spans(Vec<Span>),
     /// A `# dex-series v1` telemetry series.
     Series(Box<TimeSeries>),
-    /// A `dex-bench v1` JSON result, reduced to its numeric fields.
+    /// A `dex-bench v1` JSON result, reduced to its numeric fields
+    /// (labelled as by [`BenchResult::numeric_fields`]).
     Bench(Vec<(String, u64)>),
 }
 
@@ -284,7 +232,7 @@ pub fn sniff_and_decode(text: &str) -> Result<DiffInput, String> {
         return decode_series(text).map(|s| DiffInput::Series(Box::new(s)));
     }
     if first.starts_with('{') {
-        return bench_numeric_fields(text).map(DiffInput::Bench);
+        return BenchResult::parse_json(text).map(|r| DiffInput::Bench(r.numeric_fields()));
     }
     Err(format!(
         "unrecognized artifact (first line {first:?}); expected {SPANS_HEADER:?}, {SERIES_HEADER:?}, or dex-bench v1 JSON"
@@ -463,14 +411,17 @@ mod tests {
 
     #[test]
     fn bench_json_fields_parse_and_diff() {
-        let base = r#"{"schema": "dex-bench v1", "name": "shard", "virtual_time_ns": 1000, "msgs_sent": 42}"#;
-        let cand = r#"{"schema": "dex-bench v1", "name": "shard", "virtual_time_ns": 2200, "msgs_sent": 42}"#;
-        let b = bench_numeric_fields(base).unwrap();
-        assert_eq!(
-            b,
-            vec![("virtual_time_ns".into(), 1000), ("msgs_sent".into(), 42)]
-        );
-        let rows = diff_bench(&b, &bench_numeric_fields(cand).unwrap());
+        let base = r#"{"schema": "dex-bench v1", "name": "shard", "virtual_time_ns": 1000, "msgs_sent": 42, "extra": {"forwards": 7}}"#;
+        let cand = r#"{"schema": "dex-bench v1", "name": "shard", "virtual_time_ns": 2200, "msgs_sent": 42, "extra": {"forwards": 7}}"#;
+        let fields = |text| match sniff_and_decode(text) {
+            Ok(DiffInput::Bench(fields)) => fields,
+            _ => panic!("not a bench result: {text}"),
+        };
+        let b = fields(base);
+        assert_eq!(b[0], ("virtual_time_ns".into(), 1000));
+        assert!(b.contains(&("msgs_sent".into(), 42)));
+        assert!(b.contains(&("extra.forwards".into(), 7)));
+        let rows = diff_bench(&b, &fields(cand));
         assert_eq!(rows[0].key, "virtual_time_ns");
         assert_eq!(rows[0].ratio(), Some(2.2));
     }
@@ -486,7 +437,7 @@ mod tests {
             Ok(DiffInput::Series(_))
         ));
         assert!(matches!(
-            sniff_and_decode("{\"schema\": \"dex-bench v1\", \"x\": 3}"),
+            sniff_and_decode("{\"schema\": \"dex-bench v1\", \"name\": \"x\"}"),
             Ok(DiffInput::Bench(_))
         ));
         assert!(sniff_and_decode("hello").is_err());

@@ -44,6 +44,7 @@ mod analyze;
 pub mod codec;
 mod critical_path;
 pub mod diff;
+pub mod perf;
 mod report;
 pub mod series_codec;
 pub mod span_codec;
@@ -57,9 +58,10 @@ pub use critical_path::{
     migration_phases, protocol_path_breakdown, render_critical_path, PhaseStat,
 };
 pub use diff::{
-    bench_numeric_fields, diff_bench, diff_series, diff_spans, render_diff, sniff_and_decode,
-    DiffInput, DiffRow, SpanDiff,
+    diff_bench, diff_series, diff_spans, render_diff, sniff_and_decode, DiffInput, DiffRow,
+    SpanDiff,
 };
+pub use perf::{BenchResult, BENCH_SCHEMA};
 pub use report::{render_report, ReportOptions};
 pub use series_codec::{decode_series, encode_series};
 pub use span_codec::{

@@ -300,12 +300,17 @@ impl FaultPlan {
                     .parse()
                     .map_err(|e| format!("line {}: bad number {:?}: {e}", lineno + 1, fields[idx]))
             };
+            let node = |idx: usize| -> Result<u16, String> {
+                let n = num(idx)?;
+                u16::try_from(n)
+                    .map_err(|_| format!("line {}: node id {n} out of range", lineno + 1))
+            };
             match fields[0] {
                 "delay" => {
                     want(6)?;
                     plan.delay(
-                        num(1)? as u16,
-                        num(2)? as u16,
+                        node(1)?,
+                        node(2)?,
                         SimTime::from_nanos(num(3)?),
                         SimTime::from_nanos(num(4)?),
                         SimDuration::from_nanos(num(5)?),
@@ -314,15 +319,15 @@ impl FaultPlan {
                 "stall" => {
                     want(5)?;
                     plan.stall(
-                        num(1)? as u16,
-                        num(2)? as u16,
+                        node(1)?,
+                        node(2)?,
                         SimTime::from_nanos(num(3)?),
                         SimTime::from_nanos(num(4)?),
                     );
                 }
                 "crash" => {
                     want(3)?;
-                    plan.crash(num(1)? as u16, SimTime::from_nanos(num(2)?));
+                    plan.crash(node(1)?, SimTime::from_nanos(num(2)?));
                 }
                 other => {
                     return Err(format!("line {}: unknown directive {other:?}", lineno + 1));
@@ -445,6 +450,22 @@ mod tests {
         assert!(FaultPlan::parse("# faultplan\nwarp 0 1\n").is_err());
         assert!(FaultPlan::parse("# faultplan\ndelay 0 1 2\n").is_err());
         assert!(FaultPlan::parse("# faultplan\ncrash x 5\n").is_err());
+    }
+
+    #[test]
+    fn parse_rejects_node_ids_outside_u16() {
+        // 65537 used to wrap silently to node 1.
+        for text in [
+            "# faultplan\ndelay 65537 1 0 10 5\n",
+            "# faultplan\ndelay 0 65536 0 10 5\n",
+            "# faultplan\nstall 70000 1 0 10\n",
+            "# faultplan\ncrash 65537 5\n",
+        ] {
+            let err = FaultPlan::parse(text).expect_err(text);
+            assert!(err.contains("out of range"), "{err}");
+        }
+        let max = FaultPlan::parse("# faultplan\ncrash 65535 5\n").unwrap();
+        assert_eq!(max.crashes()[0].node, u16::MAX);
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub use engine::{
     ShutdownToken, SimCtx, SimError, ThreadId,
 };
 pub use fault::{FaultPlan, LinkFault, LinkFaultKind, NodeCrash};
-pub use replay::{ReplayCursor, ScheduleLog, ScheduleStep};
+pub use replay::{escape_field, unescape_field, ReplayCursor, ScheduleLog, ScheduleStep};
 pub use resource::{MultiResource, Resource};
 pub use rng::SimRng;
 pub use stats::{Counters, Histogram};

@@ -92,8 +92,8 @@ impl ScheduleLog {
     /// <seq>\t<actor>\t<label>
     /// ```
     ///
-    /// Labels are escaped reversibly (`\\`, `\t`, `\n`, `\r` — the same
-    /// scheme the `dex-prof` codecs use), so arbitrary label content
+    /// Labels are escaped reversibly with [`escape_field`] (the scheme
+    /// the `dex-prof` codecs share), so arbitrary label content
     /// round-trips byte for byte through [`ScheduleLog::parse`].
     pub fn to_text(&self) -> String {
         let mut out = String::new();
@@ -105,7 +105,7 @@ impl ScheduleLog {
                 "{}\t{}\t{}\n",
                 step.seq,
                 step.actor,
-                escape_label(&step.label)
+                escape_field(&step.label)
             ));
         }
         out
@@ -140,7 +140,7 @@ impl ScheduleLog {
                 .trim()
                 .parse()
                 .map_err(|e| format!("line {}: bad actor: {e}", lineno + 1))?;
-            let label = unescape_label(parts.next().unwrap_or(""))
+            let label = unescape_field(parts.next().unwrap_or(""))
                 .map_err(|e| format!("line {}: {e}", lineno + 1))?;
             if seq != log.steps.len() as u64 {
                 return Err(format!(
@@ -155,10 +155,11 @@ impl ScheduleLog {
     }
 }
 
-/// Escapes a label for one tab-separated field: `\\`, `\t`, `\n`, `\r`
-/// (matching the `dex-prof` codec escaping, so tooling that understands
-/// one format understands both).
-fn escape_label(s: &str) -> String {
+/// Escapes a free-form string for one tab-separated field of a
+/// line-oriented text format: `\\`, `\t`, `\n`, `\r`. Shared by every
+/// `# dex-* v1` codec and the schedule log, so tooling that understands
+/// one format understands all of them.
+pub fn escape_field(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -172,8 +173,8 @@ fn escape_label(s: &str) -> String {
     out
 }
 
-/// Reverses [`escape_label`]. Unknown or truncated escapes are errors.
-fn unescape_label(s: &str) -> Result<String, String> {
+/// Reverses [`escape_field`]. Unknown or truncated escapes are errors.
+pub fn unescape_field(s: &str) -> Result<String, String> {
     if !s.contains('\\') {
         return Ok(s.to_string());
     }
@@ -189,8 +190,8 @@ fn unescape_label(s: &str) -> Result<String, String> {
             Some('t') => out.push('\t'),
             Some('n') => out.push('\n'),
             Some('r') => out.push('\r'),
-            Some(other) => return Err(format!("bad label escape `\\{other}`")),
-            None => return Err("truncated label escape at end of field".to_string()),
+            Some(other) => return Err(format!("unknown escape `\\{other}`")),
+            None => return Err("truncated escape at end of field".to_string()),
         }
     }
     Ok(out)
