@@ -17,15 +17,15 @@ use crate::cost::CostModel;
 use crate::dispatch::{dispatcher_loop, ProcessRegistry};
 use crate::handle::{DsmCell, DsmMatrix, DsmScalar, DsmVec, ProcessRef};
 use crate::mutation::ProtocolMutation;
-use crate::process::{MigrationSample, ProcessShared};
-use crate::race::{RaceEvent, RaceTrace};
-use crate::span::{Span, SpanBuffer};
+use crate::process::{Counter, MigrationSample, ProcessShared};
+use crate::race::RaceEvent;
+use crate::span::Span;
 use crate::sync::{
     new_barrier, new_condvar, new_mutex, new_rwlock, DexBarrier, DexCondvar, DexMutex, DexRwLock,
 };
 use crate::telemetry::{HealthEvent, Telemetry, TelemetryConfig};
 use crate::thread::{DexThread, ThreadCtx};
-use crate::trace::{FaultEvent, TraceBuffer};
+use crate::trace::FaultEvent;
 
 /// Configuration of a simulated DEX cluster.
 ///
@@ -315,7 +315,6 @@ impl Cluster {
             fabric,
             registry,
             config: cfg,
-            metrics: metrics.clone(),
             created: std::cell::RefCell::new(Vec::new()),
         };
         setup(&handle);
@@ -366,7 +365,7 @@ impl Cluster {
                 let migrations = shared.stats.migrations.lock().clone();
                 let trace = shared.trace.snapshot();
                 let spans = shared.spans.snapshot();
-                let metrics = shared.metrics.as_ref().map(|m| m.snapshot());
+                let metrics = shared.fabric.metrics().map(|m| m.snapshot());
                 let race_events = shared.race.snapshot();
                 RunReport {
                     virtual_time: end.saturating_since(SimTime::ZERO),
@@ -393,7 +392,6 @@ pub struct ClusterHandle<'e> {
     fabric: Arc<crate::process::Fabric>,
     registry: Arc<ProcessRegistry>,
     config: &'e ClusterConfig,
-    metrics: Option<Arc<MetricsRegistry>>,
     created: std::cell::RefCell<Vec<Arc<ProcessShared>>>,
 }
 
@@ -409,36 +407,8 @@ impl<'e> ClusterHandle<'e> {
             "origin {origin} outside the {}-node cluster",
             self.config.nodes
         );
-        let trace = if self.config.trace {
-            TraceBuffer::enabled()
-        } else {
-            TraceBuffer::disabled()
-        };
-        let race = if self.config.race {
-            RaceTrace::enabled()
-        } else {
-            RaceTrace::disabled()
-        };
-        let spans = if self.config.spans {
-            SpanBuffer::enabled()
-        } else {
-            SpanBuffer::disabled()
-        };
         let pid = Pid(self.created.borrow().len() as u64 + 1);
-        let shared = ProcessShared::new(
-            pid,
-            origin,
-            self.config.nodes,
-            self.config.cost.clone(),
-            Arc::clone(&self.fabric),
-            trace,
-            spans,
-            self.metrics.clone(),
-            race,
-            self.config.heap_pages,
-            self.config.mutation,
-            self.config.dir_shards,
-        );
+        let shared = ProcessShared::new(pid, origin, self.config, Arc::clone(&self.fabric));
         self.registry.insert(Arc::clone(&shared));
         self.created.borrow_mut().push(Arc::clone(&shared));
         DexProcess {
@@ -655,21 +625,21 @@ pub struct DexStats {
 
 impl DexStats {
     fn collect(shared: &ProcessShared) -> Self {
-        let c = &shared.stats.counters;
+        let c = |counter: Counter| shared.stats.counters.get(counter.key());
         let n = shared.fabric.counters();
         DexStats {
-            forward_migrations: c.get("migrations.forward"),
-            backward_migrations: c.get("migrations.backward"),
-            read_faults: c.get("faults.read"),
-            write_faults: c.get("faults.write"),
-            coalesced_faults: c.get("faults.coalesced"),
-            retried_faults: c.get("faults.retried"),
-            invalidations: c.get("protocol.invalidations"),
-            vma_syncs: c.get("vma.syncs"),
-            vma_broadcasts: c.get("vma.broadcasts"),
-            delegations: c.get("delegations"),
-            futex_waits: c.get("futex.waits"),
-            futex_wakes: c.get("futex.wakes"),
+            forward_migrations: c(Counter::MigrationsForward),
+            backward_migrations: c(Counter::MigrationsBackward),
+            read_faults: c(Counter::FaultsRead),
+            write_faults: c(Counter::FaultsWrite),
+            coalesced_faults: c(Counter::FaultsCoalesced),
+            retried_faults: c(Counter::FaultsRetried),
+            invalidations: c(Counter::Invalidations),
+            vma_syncs: c(Counter::VmaSyncs),
+            vma_broadcasts: c(Counter::VmaBroadcasts),
+            delegations: c(Counter::Delegations),
+            futex_waits: c(Counter::FutexWaits),
+            futex_wakes: c(Counter::FutexWakes),
             msgs_sent: n.get("msgs.sent"),
             pages_sent: n.get("pages.sent"),
             bytes_sent: n.get("bytes.sent"),

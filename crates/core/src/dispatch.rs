@@ -21,9 +21,9 @@ use dex_sim::{SimChannel, SimCtx, SimDuration};
 
 use crate::directory::DirAction;
 use crate::msg::{DexMsg, MigrationPhases, VmaOp};
-use crate::process::{DeferredWork, DelegationJob, ProcessShared, Reply};
+use crate::process::{Counter, DeferredWork, DelegationJob, ProcessShared, Reply};
 use crate::protocol::{self, HomeOutcome, Revocation};
-use crate::span::{Span, SpanId, SpanKind};
+use crate::span::{SpanId, SpanKind};
 use crate::trace::{FaultEvent, FaultKind};
 
 /// The task id span records use for protocol handlers (no app thread).
@@ -258,22 +258,15 @@ pub(crate) fn dispatcher_loop(
                 let shared = registry.get(pid);
                 // Backward migration only updates the original thread's
                 // state — two orders of magnitude cheaper than forward.
-                let t0 = ctx.now();
-                let update = shared.spans.is_enabled().then(|| shared.spans.alloc_id());
+                let update = shared.spans.open(
+                    SpanKind::MigrationPhase,
+                    SpanId(span.0),
+                    node,
+                    PROTOCOL_TASK,
+                    ctx.now(),
+                );
                 ctx.advance(shared.cost.backward_update);
-                if let Some(id) = update {
-                    shared.spans.record(Span {
-                        id,
-                        parent: SpanId(span.0),
-                        kind: SpanKind::MigrationPhase,
-                        node,
-                        task: PROTOCOL_TASK,
-                        start: t0,
-                        end: ctx.now(),
-                        label: "backward_update",
-                        tag: None,
-                    });
-                }
+                update.close(ctx.now(), "backward_update");
                 endpoint.send_traced(
                     ctx,
                     from,
@@ -341,8 +334,13 @@ fn handle_page_request(
     req_id: u64,
     span: SpanContext,
 ) {
-    let t0 = ctx.now();
-    let handling = shared.spans.is_enabled().then(|| shared.spans.alloc_id());
+    let handling = shared.spans.open(
+        SpanKind::DirectoryHandling,
+        SpanId(span.0),
+        node,
+        PROTOCOL_TASK,
+        ctx.now(),
+    );
     ctx.advance(shared.cost.protocol_handling);
     let actions = shared.directory_for(vpn).lock().request(
         vpn,
@@ -350,27 +348,15 @@ fn handle_page_request(
         crate::directory::Requester::Remote { node: from, req_id },
     );
     // Grants and invalidations stitch to the *handling* span so the
-    // requester-side fixup becomes its child; with spans off the incoming
-    // context (necessarily NONE then) is forwarded unchanged.
-    let out = handling.map_or(span, |id| SpanContext(id.0));
+    // requester-side fixup becomes its child.
+    let out = handling.context();
     apply_origin_actions(ctx, shared, endpoint, node, vpn, actions, None, out);
-    if let Some(id) = handling {
-        shared.spans.record(Span {
-            id,
-            parent: SpanId(span.0),
-            kind: SpanKind::DirectoryHandling,
-            node,
-            task: PROTOCOL_TASK,
-            start: t0,
-            end: ctx.now(),
-            label: if access.is_write() {
-                "page_request_write"
-            } else {
-                "page_request_read"
-            },
-            tag: None,
-        });
-    }
+    let label = if access.is_write() {
+        "page_request_write"
+    } else {
+        "page_request_read"
+    };
+    handling.close(ctx.now(), label);
 }
 
 /// Runs the home step at `home` under its address-space lock, so the
@@ -395,17 +381,11 @@ pub(crate) fn home_step_at(
     );
     for (_, msg) in &out.sends {
         if let DexMsg::OwnerForward { .. } = msg {
-            shared.stats.counters.incr("protocol.forwards");
-            if let Some(m) = &shared.metrics {
-                m.node(home).incr("protocol.forwards");
-            }
+            shared.count(Counter::Forwards, home);
         }
     }
     if out.zero_fills > 0 {
-        shared
-            .stats
-            .counters
-            .add("protocol.zero_page_grants", out.zero_fills);
+        shared.count_by(Counter::ZeroPageGrants, home, out.zero_fills);
     }
     if let Some(frame) = out.staged.take() {
         shared.stage_frame(home, vpn, frame);
@@ -457,16 +437,18 @@ fn handle_page_grant(
     req_id: u64,
     span: SpanContext,
 ) {
-    let t0 = ctx.now();
-    let fixup = shared.spans.is_enabled().then(|| shared.spans.alloc_id());
+    let fixup = shared.spans.open(
+        SpanKind::PageFixup,
+        SpanId(span.0),
+        node,
+        PROTOCOL_TASK,
+        ctx.now(),
+    );
     let with_data = data.is_some();
     if !retry {
         let mut space = shared.space(node).lock();
         if let Some(frame) = data {
-            shared
-                .stats
-                .counters
-                .add("protocol.page_bytes_received", PAGE_SIZE as u64);
+            shared.count_by(Counter::PageBytesReceived, node, PAGE_SIZE as u64);
             space.install_frame(vpn, frame);
         }
         space.page_table.set(
@@ -479,23 +461,12 @@ fn handle_page_grant(
         );
         let _ = space.frame_mut(vpn);
     }
-    if let Some(id) = fixup {
-        shared.spans.record(Span {
-            id,
-            parent: SpanId(span.0),
-            kind: SpanKind::PageFixup,
-            node,
-            task: PROTOCOL_TASK,
-            start: t0,
-            end: ctx.now(),
-            label: match (retry, with_data) {
-                (true, _) => "grant_retry",
-                (false, true) => "grant_with_data",
-                (false, false) => "grant_no_transfer",
-            },
-            tag: None,
-        });
-    }
+    let label = match (retry, with_data) {
+        (true, _) => "grant_retry",
+        (false, true) => "grant_with_data",
+        (false, false) => "grant_no_transfer",
+    };
+    fixup.close(ctx.now(), label);
     // Sharded mode: the grant the deferred work was waiting for has
     // landed (or been turned into a retry) — run it before waking the
     // requester so the node's state is protocol-consistent.
@@ -514,23 +485,20 @@ fn run_deferred(
     vpn: Vpn,
     work: DeferredWork,
 ) {
-    shared.stats.counters.incr("protocol.deferred_work");
+    shared.count(Counter::DeferredWork, node);
     match work {
         DeferredWork::Invalidate {
             home,
             needs_data,
             span,
         } => {
+            record_invalidation(ctx, shared, node, vpn, "protocol.invalidate_batch");
             let ack = protocol::revoke(
                 &mut *shared.space(node).lock(),
                 shared.rules(),
                 home,
                 Revocation::Batch(vec![(vpn, needs_data)]),
             );
-            shared.stats.counters.incr("protocol.invalidations");
-            if let Some(m) = &shared.metrics {
-                m.node(node).incr("dsm.invalidations");
-            }
             if let Some((to, ack)) = ack {
                 endpoint.send_traced(ctx, to, ack, span);
             }
@@ -566,8 +534,13 @@ fn handle_owner_forward(
     req_id: u64,
     span: SpanContext,
 ) {
-    let t0 = ctx.now();
-    let handling = shared.spans.is_enabled().then(|| shared.spans.alloc_id());
+    let handling = shared.spans.open(
+        SpanKind::OwnerForward,
+        SpanId(span.0),
+        node,
+        PROTOCOL_TASK,
+        ctx.now(),
+    );
     ctx.advance(shared.cost.forward_handling);
     let out = protocol::owner_forward(
         &mut *shared.space(node).lock(),
@@ -578,31 +551,16 @@ fn handle_owner_forward(
         requester,
         req_id,
     );
-    shared.stats.counters.incr("protocol.forwards_serviced");
-    if let Some(m) = &shared.metrics {
-        m.node(node).incr("protocol.forwards_serviced");
-    }
-    let span_out = handling.map_or(span, |id| SpanContext(id.0));
+    shared.count(Counter::ForwardsServiced, node);
     for (to, msg) in out {
-        endpoint.send_traced(ctx, to, msg, span_out);
+        endpoint.send_traced(ctx, to, msg, handling.context());
     }
-    if let Some(id) = handling {
-        shared.spans.record(Span {
-            id,
-            parent: SpanId(span.0),
-            kind: SpanKind::OwnerForward,
-            node,
-            task: PROTOCOL_TASK,
-            start: t0,
-            end: ctx.now(),
-            label: if access.is_write() {
-                "owner_forward_write"
-            } else {
-                "owner_forward_read"
-            },
-            tag: None,
-        });
-    }
+    let label = if access.is_write() {
+        "owner_forward_write"
+    } else {
+        "owner_forward_read"
+    };
+    handling.close(ctx.now(), label);
 }
 
 /// A node's handling of a batched ownership revocation (sharded mode):
@@ -619,8 +577,13 @@ fn handle_invalidate_batch(
     entries: Vec<(Vpn, bool)>,
     span: SpanContext,
 ) {
-    let t0 = ctx.now();
-    let inval = shared.spans.is_enabled().then(|| shared.spans.alloc_id());
+    let inval = shared.spans.open(
+        SpanKind::InvalidateBatch,
+        SpanId(span.0),
+        node,
+        PROTOCOL_TASK,
+        ctx.now(),
+    );
     ctx.advance(shared.cost.protocol_handling);
     // The grant for a deferred page is still in flight on another
     // channel: revoking now would ack a copy the node does not hold yet.
@@ -641,21 +604,7 @@ fn handle_invalidate_batch(
     }
     let carried = now.iter().any(|&(_, needs_data)| needs_data);
     for &(vpn, _) in &now {
-        shared.stats.counters.incr("protocol.invalidations");
-        if let Some(m) = &shared.metrics {
-            m.node(node).incr("dsm.invalidations");
-        }
-        if shared.trace.is_enabled() {
-            shared.trace.record(FaultEvent {
-                time: ctx.now(),
-                node,
-                task: Tid(u64::MAX),
-                kind: FaultKind::Invalidate,
-                site: "protocol.invalidate_batch",
-                addr: vpn.base(),
-                tag: shared.tag_for(shared.origin, vpn.base()),
-            });
-        }
+        record_invalidation(ctx, shared, node, vpn, "protocol.invalidate_batch");
     }
     // One aggregated ack for every entry applied now; deferred entries
     // follow in partial acks of their own.
@@ -665,32 +614,39 @@ fn handle_invalidate_batch(
         from,
         Revocation::Batch(now),
     );
-    shared.stats.counters.incr("protocol.invalidate_batches");
-    if let Some(m) = &shared.metrics {
-        m.node(node).incr("protocol.invalidate_batches");
-    }
-    if let Some(id) = inval {
-        shared.spans.record(Span {
-            id,
-            parent: SpanId(span.0),
-            kind: SpanKind::InvalidateBatch,
-            node,
-            task: PROTOCOL_TASK,
-            start: t0,
-            end: ctx.now(),
-            label: if carried {
-                "invalidate_batch_flush"
-            } else {
-                "invalidate_batch_drop"
-            },
-            tag: None,
-        });
-    }
+    shared.count(Counter::InvalidateBatches, node);
+    let label = if carried {
+        "invalidate_batch_flush"
+    } else {
+        "invalidate_batch_drop"
+    };
+    inval.close(ctx.now(), label);
     // The ack echoes the incoming directory span so the home's deferred
     // grant stays stitched.
     if let Some((to, ack)) = ack {
         endpoint.send_traced(ctx, to, ack, span);
     }
+}
+
+/// Records one revocation applied at `node`: the invalidation counter
+/// and the §IV-A trace event, from every path that revokes a page.
+fn record_invalidation(
+    ctx: &SimCtx,
+    shared: &ProcessShared,
+    node: NodeId,
+    vpn: Vpn,
+    site: &'static str,
+) {
+    shared.count(Counter::Invalidations, node);
+    shared.trace.record_with(|| FaultEvent {
+        time: ctx.now(),
+        node,
+        task: PROTOCOL_TASK,
+        kind: FaultKind::Invalidate,
+        site,
+        addr: vpn.base(),
+        tag: shared.tag_for(shared.origin, vpn.base()),
+    });
 }
 
 /// A node's handling of an ownership revocation.
@@ -705,8 +661,13 @@ fn handle_invalidate(
     needs_data: bool,
     span: SpanContext,
 ) {
-    let t0 = ctx.now();
-    let inval = shared.spans.is_enabled().then(|| shared.spans.alloc_id());
+    let inval = shared.spans.open(
+        SpanKind::Invalidation,
+        SpanId(span.0),
+        node,
+        PROTOCOL_TASK,
+        ctx.now(),
+    );
     ctx.advance(shared.cost.protocol_handling);
     let ack = protocol::revoke(
         &mut *shared.space(node).lock(),
@@ -714,38 +675,13 @@ fn handle_invalidate(
         from,
         Revocation::Page { vpn, needs_data },
     );
-    if shared.trace.is_enabled() {
-        shared.trace.record(FaultEvent {
-            time: ctx.now(),
-            node,
-            task: Tid(u64::MAX),
-            kind: FaultKind::Invalidate,
-            site: "protocol.invalidate",
-            addr: vpn.base(),
-            tag: shared.tag_for(shared.origin, vpn.base()),
-        });
-    }
-    shared.stats.counters.incr("protocol.invalidations");
-    if let Some(m) = &shared.metrics {
-        m.node(node).incr("dsm.invalidations");
-    }
-    if let Some(id) = inval {
-        shared.spans.record(Span {
-            id,
-            parent: SpanId(span.0),
-            kind: SpanKind::Invalidation,
-            node,
-            task: PROTOCOL_TASK,
-            start: t0,
-            end: ctx.now(),
-            label: if needs_data {
-                "invalidate_flush"
-            } else {
-                "invalidate_drop"
-            },
-            tag: None,
-        });
-    }
+    record_invalidation(ctx, shared, node, vpn, "protocol.invalidate");
+    let label = if needs_data {
+        "invalidate_flush"
+    } else {
+        "invalidate_drop"
+    };
+    inval.close(ctx.now(), label);
     // The ack echoes the *incoming* (directory) span, not the local
     // invalidation span, so the origin's deferred grant stays parented to
     // the directory transaction that caused the fan-out.
@@ -772,20 +708,10 @@ fn handle_migrate_request(
     // Times one remote-side phase and records it as a child of the
     // origin's migration span when spans are on.
     let record_phase = |label: &'static str, start, end| {
-        let phase = shared.spans.is_enabled().then(|| shared.spans.alloc_id());
-        if let Some(id) = phase {
-            shared.spans.record(Span {
-                id,
-                parent: SpanId(span.0),
-                kind: SpanKind::MigrationPhase,
-                node,
-                task: tid,
-                start,
-                end,
-                label,
-                tag: None,
-            });
-        }
+        shared
+            .spans
+            .open(SpanKind::MigrationPhase, SpanId(span.0), node, tid, start)
+            .close(end, label);
     };
     // Verify the context transferred intact (serialization round-trip).
     let roundtrip =

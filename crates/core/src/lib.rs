@@ -76,13 +76,13 @@ pub use directory::{DirAction, DirStats, Directory, NodeSet, Requester};
 pub use handle::{DsmCell, DsmMatrix, DsmScalar, DsmVec, ProcessRef};
 pub use msg::{DelegatedOp, DexMsg, MigrationPhases, VmaOp};
 pub use mutation::{ProtocolMutation, ALL_MUTATIONS};
-pub use process::{MigrationSample, ObjectSpan, ProcessShared, RunStats};
+pub use process::{Counter, MigrationSample, ObjectSpan, ProcessShared, RunStats};
 pub use race::{RaceEvent, RaceEventKind, RaceTrace};
-pub use span::{Span, SpanBuffer, SpanId, SpanKind};
+pub use span::{OpenSpan, Span, SpanBuffer, SpanId, SpanKind};
 pub use sync::{DexBarrier, DexCondvar, DexMutex, DexRwLock};
 pub use telemetry::{HealthEvent, HealthEventKind, MonitorConfig, TelemetryConfig};
 pub use thread::{DexThread, MigrateError, ThreadCtx, FUTEX_EAGAIN};
-pub use trace::{FaultEvent, FaultKind, TraceBuffer};
+pub use trace::{CaptureLog, FaultEvent, FaultKind, TraceBuffer};
 
 // Re-export the identifiers applications touch constantly.
 pub use dex_net::NodeId;

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use dex_net::{MetricsRegistry, NodeId, SpanContext};
+use dex_net::{NodeId, SpanContext};
 use dex_os::{
     Access, AddressSpace, FutexTable, PageFrame, Pid, Tid, VirtAddr, Vma, Vpn, PAGE_SIZE,
 };
@@ -22,9 +22,11 @@ use dex_sim::{
     Counters, Histogram, MultiResource, Resource, SimChannel, SimCtx, SimDuration, ThreadId,
 };
 
+use crate::cluster::ClusterConfig;
 use crate::cost::CostModel;
 use crate::directory::Directory;
 use crate::msg::{DelegatedOp, DexMsg, MigrationPhases};
+use crate::race::RaceTrace;
 use crate::span::SpanBuffer;
 use crate::trace::TraceBuffer;
 
@@ -171,6 +173,71 @@ pub struct ObjectSpan {
     pub tag: String,
 }
 
+/// Declares [`Counter`] from one table: each protocol counter is named
+/// once, with its per-process key and, where it has one, its per-node
+/// metric key.
+macro_rules! counters {
+    (@node) => { None };
+    (@node $key:literal) => { Some($key) };
+    ($($name:ident => $key:literal $(/ $node_key:literal)?,)*) => {
+        /// A protocol counter. Sites record through
+        /// `ProcessShared::count`, which bumps the per-process counter
+        /// and, with metrics on, its per-node twin in the same call.
+        #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+        pub enum Counter {
+            $(#[doc = concat!("`", $key, "`")] $name,)*
+        }
+
+        impl Counter {
+            /// Every counter, in table order.
+            pub const ALL: &'static [Counter] = &[$(Counter::$name),*];
+
+            /// The per-process key in [`RunStats::counters`].
+            pub fn key(self) -> &'static str {
+                match self {
+                    $(Counter::$name => $key,)*
+                }
+            }
+
+            /// The per-node [`dex_net::MetricsRegistry`] key, if any.
+            pub fn node_key(self) -> Option<&'static str> {
+                match self {
+                    $(Counter::$name => counters!(@node $($node_key)?),)*
+                }
+            }
+        }
+    };
+}
+
+counters! {
+    FaultsRead => "faults.read" / "dsm.faults_read",
+    FaultsWrite => "faults.write" / "dsm.faults_write",
+    FaultsMinor => "faults.minor",
+    FaultsCoalesced => "faults.coalesced" / "dsm.faults_coalesced",
+    FaultsRetried => "faults.retried" / "dsm.faults_retried",
+    CrashesHandled => "faults.crashes_handled",
+    PagesReclaimed => "faults.pages_reclaimed",
+    StaleReplies => "faults.stale_replies",
+    MigrationsForward => "migrations.forward",
+    MigrationsBackward => "migrations.backward",
+    CrashRehomed => "migrations.crash_rehomed",
+    DestCrashed => "migrations.dest_crashed",
+    Delegations => "delegations",
+    FutexWaits => "futex.waits",
+    FutexWakes => "futex.wakes",
+    VmaSyncs => "vma.syncs",
+    VmaBroadcasts => "vma.broadcasts",
+    PrefetchPages => "prefetch.pages" / "prefetch.pages",
+    PrefetchDenied => "prefetch.denied" / "prefetch.denied",
+    Invalidations => "protocol.invalidations" / "dsm.invalidations",
+    InvalidateBatches => "protocol.invalidate_batches" / "protocol.invalidate_batches",
+    Forwards => "protocol.forwards" / "protocol.forwards",
+    ForwardsServiced => "protocol.forwards_serviced" / "protocol.forwards_serviced",
+    DeferredWork => "protocol.deferred_work",
+    ZeroPageGrants => "protocol.zero_page_grants",
+    PageBytesReceived => "protocol.page_bytes_received",
+}
+
 /// Aggregate statistics of one run.
 pub struct RunStats {
     /// Named protocol counters.
@@ -252,15 +319,12 @@ pub struct ProcessShared {
     pub cores: Vec<MultiResource>,
     /// Statistics sinks.
     pub stats: Arc<RunStats>,
-    /// Page-fault trace sink.
+    /// Page-fault trace sink (disabled unless `ClusterConfig::with_trace`).
     pub trace: TraceBuffer,
     /// Causal span sink (disabled unless `ClusterConfig::with_spans`).
     pub spans: SpanBuffer,
-    /// Per-node/per-link metrics (shared with the fabric; `None` unless
-    /// `ClusterConfig::with_metrics`).
-    pub metrics: Option<Arc<MetricsRegistry>>,
     /// Synchronization/access event sink for dynamic race detection.
-    pub race: crate::race::RaceTrace,
+    pub race: RaceTrace,
     /// Seeded protocol bug, consulted by the coherence fault path
     /// (mutation testing of `dex-check explore`).
     pub mutation: crate::ProtocolMutation,
@@ -282,23 +346,16 @@ pub struct ProcessShared {
 }
 
 impl ProcessShared {
-    /// Creates the process state. `heap_pages` sizes the shared heap VMA
-    /// that the bump allocator hands out.
-    #[allow(clippy::too_many_arguments)] // internal constructor mirroring the config
+    /// Creates the process state. `config` supplies the cluster shape,
+    /// the cost model, the heap size and the capture choices; the metrics
+    /// registry, when on, is the one attached to `fabric`.
     pub(crate) fn new(
         pid: Pid,
         origin: NodeId,
-        nodes: usize,
-        cost: CostModel,
+        config: &ClusterConfig,
         fabric: Arc<Fabric>,
-        trace: TraceBuffer,
-        spans: SpanBuffer,
-        metrics: Option<Arc<MetricsRegistry>>,
-        race: crate::race::RaceTrace,
-        heap_pages: u64,
-        mutation: crate::ProtocolMutation,
-        dir_shards: usize,
     ) -> Arc<Self> {
+        let (nodes, cost, heap_pages) = (config.nodes, config.cost.clone(), config.heap_pages);
         let mut spaces: Vec<Mutex<AddressSpace>> = (0..nodes)
             .map(|_| Mutex::new(AddressSpace::new()))
             .collect();
@@ -322,8 +379,8 @@ impl ProcessShared {
         // The sharded configuration caps the home count at the cluster
         // size (a home must be a real node); `<= 1` is the classic
         // single-origin directory.
-        let dir_shards = if dir_shards > 1 {
-            dir_shards.min(nodes)
+        let dir_shards = if config.dir_shards > 1 {
+            config.dir_shards.min(nodes)
         } else {
             1
         };
@@ -365,11 +422,10 @@ impl ProcessShared {
                 fault_hist: Histogram::new(),
                 migrations: Mutex::new(Vec::new()),
             }),
-            trace,
-            spans,
-            metrics,
-            race,
-            mutation,
+            trace: TraceBuffer::new(config.trace),
+            spans: SpanBuffer::new(config.spans),
+            race: RaceTrace::new(config.race),
+            mutation: config.mutation,
             objects: Mutex::new(Vec::new()),
             node_threads: Mutex::new(vec![0; nodes]),
             crashes_handled: Mutex::new(vec![false; nodes]),
@@ -391,6 +447,20 @@ impl ProcessShared {
     /// Application threads currently executing on each node.
     pub fn thread_counts(&self) -> Vec<i64> {
         self.node_threads.lock().clone()
+    }
+
+    /// Records `n` occurrences of `counter` at `node`: the per-process
+    /// counter and, with metrics on, its per-node twin.
+    pub(crate) fn count_by(&self, counter: Counter, node: NodeId, n: u64) {
+        self.stats.counters.add(counter.key(), n);
+        if let (Some(metrics), Some(key)) = (self.fabric.metrics(), counter.node_key()) {
+            metrics.node(node).add(key, n);
+        }
+    }
+
+    /// Records one occurrence of `counter` at `node`.
+    pub(crate) fn count(&self, counter: Counter, node: NodeId) {
+        self.count_by(counter, node, 1);
     }
 
     /// Allocates a cluster-unique request id.
@@ -776,7 +846,7 @@ impl ProcessShared {
             dead, self.origin,
             "origin node crashed: unsupported (process death)"
         );
-        self.stats.counters.incr("faults.crashes_handled");
+        self.count(Counter::CrashesHandled, dead);
         for dir in &self.directories {
             let (home, reclaimed) = {
                 let mut dir = dir.lock();
@@ -790,7 +860,7 @@ impl ProcessShared {
             };
             let endpoint = self.fabric.endpoint(home);
             for (vpn, actions) in reclaimed {
-                self.stats.counters.incr("faults.pages_reclaimed");
+                self.count(Counter::PagesReclaimed, home);
                 crate::dispatch::apply_origin_actions(
                     ctx,
                     self,
@@ -845,7 +915,7 @@ impl ProcessShared {
                 if self.fabric.faults_enabled() {
                     // A reply for a request its waiter abandoned (crash
                     // recovery already resolved it another way).
-                    self.stats.counters.incr("faults.stale_replies");
+                    self.count(Counter::StaleReplies, node);
                     return;
                 }
                 panic!("completion for unknown request {req_id} at {node}");
@@ -878,7 +948,7 @@ impl ProcessShared {
             let mut table = self.pending[node.0 as usize].lock();
             let Some(pending) = table.map.get_mut(&req_id) else {
                 if self.fabric.faults_enabled() {
-                    self.stats.counters.incr("faults.stale_replies");
+                    self.count(Counter::StaleReplies, node);
                     return;
                 }
                 panic!("broadcast ack for unknown request {req_id} at {node}");
@@ -886,7 +956,7 @@ impl ProcessShared {
             if !pending.awaiting.is_empty() {
                 let Some(pos) = pending.awaiting.iter().position(|n| *n == from) else {
                     // Crash recovery already completed this peer's share.
-                    self.stats.counters.incr("faults.stale_replies");
+                    self.count(Counter::StaleReplies, node);
                     return;
                 };
                 pending.awaiting.swap_remove(pos);
@@ -912,21 +982,12 @@ mod tests {
     use dex_net::NetConfig;
 
     fn shared(nodes: usize) -> Arc<ProcessShared> {
+        let config = ClusterConfig {
+            heap_pages: 1024,
+            ..ClusterConfig::new(nodes)
+        };
         let fabric = Fabric::new(NetConfig::default(), nodes);
-        ProcessShared::new(
-            Pid(1),
-            NodeId(0),
-            nodes,
-            CostModel::default(),
-            fabric,
-            TraceBuffer::disabled(),
-            SpanBuffer::disabled(),
-            None,
-            crate::race::RaceTrace::disabled(),
-            1024,
-            crate::ProtocolMutation::None,
-            1,
-        )
+        ProcessShared::new(Pid(1), NodeId(0), &config, fabric)
     }
 
     #[test]

@@ -22,13 +22,11 @@
 //! * the deterministic simulator appends events in execution order, so
 //!   the vector-clock pass can process the vector front to back.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
-
 use dex_net::NodeId;
 use dex_os::{Tid, VirtAddr};
 use dex_sim::SimTime;
+
+use crate::trace::CaptureLog;
 
 /// What a [`RaceEvent`] records.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -104,67 +102,8 @@ pub struct RaceEvent {
     pub kind: RaceEventKind,
 }
 
-/// A shared, append-only buffer of [`RaceEvent`]s (cloning shares the
-/// buffer, mirroring [`TraceBuffer`](crate::TraceBuffer)).
-#[derive(Clone)]
-pub struct RaceTrace {
-    enabled: bool,
-    events: Arc<Mutex<Vec<RaceEvent>>>,
-}
-
-impl RaceTrace {
-    /// A trace that records events.
-    pub fn enabled() -> Self {
-        RaceTrace {
-            enabled: true,
-            events: Arc::new(Mutex::new(Vec::new())),
-        }
-    }
-
-    /// A trace that drops everything (the default).
-    pub fn disabled() -> Self {
-        RaceTrace {
-            enabled: false,
-            events: Arc::new(Mutex::new(Vec::new())),
-        }
-    }
-
-    /// Whether recording is active.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Appends an event (no-op when disabled).
-    pub fn record(&self, event: RaceEvent) {
-        if self.enabled {
-            self.events.lock().push(event);
-        }
-    }
-
-    /// A copy of all recorded events in execution order.
-    pub fn snapshot(&self) -> Vec<RaceEvent> {
-        self.events.lock().clone()
-    }
-
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.events.lock().len()
-    }
-
-    /// Returns `true` if nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.lock().is_empty()
-    }
-}
-
-impl std::fmt::Debug for RaceTrace {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RaceTrace")
-            .field("enabled", &self.enabled)
-            .field("events", &self.len())
-            .finish()
-    }
-}
+/// The shared buffer of [`RaceEvent`]s, in execution order.
+pub type RaceTrace = CaptureLog<RaceEvent>;
 
 #[cfg(test)]
 mod tests {
@@ -172,7 +111,7 @@ mod tests {
 
     #[test]
     fn disabled_trace_drops_events() {
-        let t = RaceTrace::disabled();
+        let t = RaceTrace::new(false);
         t.record(RaceEvent {
             time: SimTime::ZERO,
             node: NodeId(0),
@@ -185,7 +124,7 @@ mod tests {
 
     #[test]
     fn enabled_trace_shares_across_clones() {
-        let t = RaceTrace::enabled();
+        let t = RaceTrace::new(true);
         let t2 = t.clone();
         t2.record(RaceEvent {
             time: SimTime::ZERO,

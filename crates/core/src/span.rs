@@ -11,31 +11,34 @@
 //!
 //! # Zero cost when disabled
 //!
-//! Instrumentation sites follow one canonical pattern:
+//! Instrumentation sites make one call to open a span and one to close
+//! it:
 //!
 //! ```ignore
-//! let t0 = ctx.now();                               // reads the clock only
-//! let span = spans.is_enabled().then(|| spans.alloc_id());
-//! /* ... the operation; `span` may ride outgoing messages ... */
-//! if let Some(id) = span {
-//!     spans.record(Span { id, parent, kind, node, task,
-//!                         start: t0, end: ctx.now(), label, tag: None });
-//! }
+//! let span = spans.open(kind, parent, node, task, ctx.now());
+//! /* ... the operation; `span.context()` may ride outgoing messages ... */
+//! span.close(ctx.now(), label);
 //! ```
 //!
-//! Everything behind the `is_enabled()` test is pure bookkeeping — no
-//! `advance`, no park, no messages — so a run with spans enabled takes
-//! **exactly** the same schedule as a run without (verified by the
-//! bit-identity test in `crates/core/tests/observability.rs`, and
-//! enforced textually by the `span-unguarded` lint in `dex-check`).
+//! [`SpanBuffer::open`] allocates the span id only when spans are on, and
+//! an [`OpenSpan`] of a disabled buffer holds nothing, so closing it
+//! records nothing. The guard is in the type: this module is the only
+//! code that allocates ids or records spans (the `span-unguarded` lint in
+//! `dex-check` rejects both anywhere else on the protocol hot path). All
+//! of it is pure bookkeeping — no `advance`, no park, no messages — so a
+//! run with spans enabled takes **exactly** the same schedule as a run
+//! without (verified by the bit-identity test in
+//! `crates/core/tests/observability.rs`).
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use dex_net::NodeId;
+use dex_net::{NodeId, SpanContext};
 use dex_os::Tid;
 use dex_sim::SimTime;
+
+use crate::trace::CaptureLog;
 
 /// Identifies a span within one run. Ids are allocated sequentially
 /// starting at 1; 0 is reserved for "no span" (the wire encoding of an
@@ -184,168 +187,111 @@ impl Span {
     }
 }
 
-/// A shared, append-only buffer of completed spans with an id allocator.
-///
-/// Mirrors [`TraceBuffer`](crate::TraceBuffer): cloning shares the
-/// buffer; the `enabled` flag is checked before any work so a disabled
-/// buffer costs one branch.
+/// A shared [`CaptureLog`] of completed spans plus the span id
+/// allocator. Cloning shares both.
 ///
 /// # Examples
 ///
 /// ```
-/// use dex_core::{Span, SpanBuffer, SpanId, SpanKind};
+/// use dex_core::{SpanBuffer, SpanId, SpanKind};
 /// use dex_net::NodeId;
 /// use dex_os::Tid;
 /// use dex_sim::SimTime;
 ///
-/// let spans = SpanBuffer::enabled();
-/// let id = spans.alloc_id();
-/// spans.record(Span {
-///     id,
-///     parent: SpanId::NONE,
-///     kind: SpanKind::Fault,
-///     node: NodeId(1),
-///     task: Tid(3),
-///     start: SimTime::ZERO,
-///     end: SimTime::from_nanos(158_800),
-///     label: "page_fault",
-///     tag: None,
-/// });
+/// let spans = SpanBuffer::new(true);
+/// let fault = spans.open(SpanKind::Fault, SpanId::NONE, NodeId(1), Tid(3), SimTime::ZERO);
+/// assert_eq!(fault.id(), SpanId(1));
+/// fault.close(SimTime::from_nanos(158_800), "page_fault");
 /// assert_eq!(spans.snapshot().len(), 1);
 /// ```
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct SpanBuffer {
-    enabled: bool,
-    inner: Arc<Mutex<SpanInner>>,
-}
-
-#[derive(Default)]
-struct SpanInner {
-    spans: std::collections::VecDeque<Span>,
-    /// `None` means unbounded.
-    capacity: Option<usize>,
-    /// Spans evicted because the buffer was at capacity.
-    dropped: u64,
+    log: CaptureLog<Span>,
     /// Next id to hand out (ids start at 1; 0 is "no span").
-    next_id: u64,
+    next_id: Arc<Mutex<u64>>,
 }
 
 impl SpanBuffer {
-    fn with_capacity(capacity: Option<usize>) -> Self {
+    /// A buffer that records spans when `enabled`, and nothing otherwise.
+    pub fn new(enabled: bool) -> Self {
         SpanBuffer {
-            enabled: true,
-            inner: Arc::new(Mutex::new(SpanInner {
-                capacity,
-                next_id: 1,
-                ..SpanInner::default()
-            })),
+            log: CaptureLog::new(enabled),
+            next_id: Arc::new(Mutex::new(1)),
         }
     }
 
-    /// A buffer that records spans without bound.
-    pub fn enabled() -> Self {
-        Self::with_capacity(None)
+    /// Opens a span of `kind` starting at `start`. The id is allocated
+    /// here, and only when spans are on.
+    pub fn open(
+        &self,
+        kind: SpanKind,
+        parent: SpanId,
+        node: NodeId,
+        task: Tid,
+        start: SimTime,
+    ) -> OpenSpan<'_> {
+        let span = self.is_enabled().then(|| Span {
+            id: self.alloc_id(),
+            parent,
+            kind,
+            node,
+            task,
+            start,
+            end: start,
+            label: "",
+            tag: None,
+        });
+        OpenSpan { spans: self, span }
     }
 
-    /// A buffer retaining at most `capacity` spans, evicting the oldest
-    /// on overflow; evictions are counted by [`SpanBuffer::dropped`].
-    pub fn bounded(capacity: usize) -> Self {
-        Self::with_capacity(Some(capacity))
-    }
-
-    /// A buffer that records nothing (production mode).
-    pub fn disabled() -> Self {
-        SpanBuffer {
-            enabled: false,
-            inner: Arc::new(Mutex::new(SpanInner::default())),
-        }
-    }
-
-    /// Whether recording is active. Every instrumentation site tests
-    /// this before doing *any* span work (the `span-unguarded` lint
-    /// rejects sites that don't).
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Allocates a fresh span id. Only meaningful when enabled — callers
-    /// guard with `is_enabled().then(|| spans.alloc_id())`.
-    pub fn alloc_id(&self) -> SpanId {
-        let mut inner = self.inner.lock();
-        let id = inner.next_id;
-        inner.next_id += 1;
-        SpanId(id)
-    }
-
-    /// Appends a completed span (no-op when disabled).
-    pub fn record(&self, span: Span) {
-        if self.enabled {
-            let mut inner = self.inner.lock();
-            if let Some(cap) = inner.capacity {
-                if cap == 0 {
-                    inner.dropped += 1;
-                    return;
-                }
-                while inner.spans.len() >= cap {
-                    inner.spans.pop_front();
-                    inner.dropped += 1;
-                }
-            }
-            inner.spans.push_back(span);
-        }
-    }
-
-    /// A copy of all recorded spans in completion order.
-    pub fn snapshot(&self) -> Vec<Span> {
-        self.inner.lock().spans.iter().cloned().collect()
-    }
-
-    /// Copies the spans recorded at position `from` or later, where
-    /// positions count every span ever recorded (evicted ones included —
-    /// an evicted span in the range is simply absent from the result).
-    /// Returns the spans and the next cursor value, letting a consumer
-    /// stream the buffer incrementally:
-    ///
-    /// ```
-    /// # use dex_core::SpanBuffer;
-    /// let spans = SpanBuffer::enabled();
-    /// let (batch, cursor) = spans.snapshot_since(0);
-    /// assert!(batch.is_empty());
-    /// let (_, again) = spans.snapshot_since(cursor);
-    /// assert_eq!(cursor, again);
-    /// ```
-    pub fn snapshot_since(&self, from: u64) -> (Vec<Span>, u64) {
-        let inner = self.inner.lock();
-        let total = inner.dropped + inner.spans.len() as u64;
-        let skip = from
-            .saturating_sub(inner.dropped)
-            .min(inner.spans.len() as u64);
-        let spans = inner.spans.iter().skip(skip as usize).cloned().collect();
-        (spans, total)
-    }
-
-    /// Spans evicted by the capacity bound (0 for unbounded buffers).
-    pub fn dropped(&self) -> u64 {
-        self.inner.lock().dropped
-    }
-
-    /// Number of recorded spans.
-    pub fn len(&self) -> usize {
-        self.inner.lock().spans.len()
-    }
-
-    /// Returns `true` if nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.inner.lock().spans.is_empty()
+    /// Allocates a fresh span id.
+    fn alloc_id(&self) -> SpanId {
+        let mut next = self.next_id.lock();
+        *next += 1;
+        SpanId(*next - 1)
     }
 }
 
-impl std::fmt::Debug for SpanBuffer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SpanBuffer")
-            .field("enabled", &self.enabled)
-            .field("spans", &self.len())
-            .finish()
+impl std::ops::Deref for SpanBuffer {
+    type Target = CaptureLog<Span>;
+
+    fn deref(&self) -> &CaptureLog<Span> {
+        &self.log
+    }
+}
+
+/// A span opened by [`SpanBuffer::open`] and recorded by
+/// [`OpenSpan::close`]. With spans off it holds nothing.
+#[must_use = "a span is recorded only when closed"]
+pub struct OpenSpan<'a> {
+    spans: &'a SpanBuffer,
+    span: Option<Span>,
+}
+
+impl OpenSpan<'_> {
+    /// The span's id ([`SpanId::NONE`] with spans off).
+    pub fn id(&self) -> SpanId {
+        self.span.as_ref().map_or(SpanId::NONE, |s| s.id)
+    }
+
+    /// The id in its wire form, for messages this span causes.
+    pub fn context(&self) -> SpanContext {
+        SpanContext(self.id().0)
+    }
+
+    /// Sets fields decided after the span opened (a fault that turned out
+    /// to be a coalesced follower, the node a re-homed thread ended on).
+    pub fn update(&mut self, set: impl FnOnce(&mut Span)) {
+        if let Some(span) = &mut self.span {
+            set(span);
+        }
+    }
+
+    /// Ends the span at `end` with `label` and records it.
+    pub fn close(self, end: SimTime, label: &'static str) {
+        if let Some(span) = self.span {
+            self.spans.record(Span { end, label, ..span });
+        }
     }
 }
 
@@ -369,7 +315,7 @@ mod tests {
 
     #[test]
     fn ids_start_at_one_and_increment() {
-        let b = SpanBuffer::enabled();
+        let b = SpanBuffer::new(true);
         assert_eq!(b.alloc_id(), SpanId(1));
         assert_eq!(b.alloc_id(), SpanId(2));
         assert!(!SpanId(1).is_none());
@@ -378,26 +324,24 @@ mod tests {
 
     #[test]
     fn disabled_buffer_records_nothing() {
-        let b = SpanBuffer::disabled();
+        let b = SpanBuffer::new(false);
         assert!(!b.is_enabled());
         b.record(span(1, SpanKind::Fault));
+        let open = b.open(
+            SpanKind::Fault,
+            SpanId::NONE,
+            NodeId(0),
+            Tid(0),
+            SimTime::ZERO,
+        );
+        assert_eq!(open.id(), SpanId::NONE);
+        open.close(SimTime::from_nanos(10), "test");
         assert!(b.is_empty());
     }
 
     #[test]
-    fn bounded_buffer_evicts_oldest_and_counts() {
-        let b = SpanBuffer::bounded(2);
-        for i in 1..=3 {
-            b.record(span(i, SpanKind::Fault));
-        }
-        assert_eq!(b.len(), 2);
-        assert_eq!(b.dropped(), 1);
-        assert_eq!(b.snapshot()[0].id, SpanId(2));
-    }
-
-    #[test]
     fn snapshot_since_streams_incrementally() {
-        let b = SpanBuffer::enabled();
+        let b = SpanBuffer::new(true);
         b.record(span(1, SpanKind::Fault));
         b.record(span(2, SpanKind::Fault));
         let (batch, cursor) = b.snapshot_since(0);
@@ -409,17 +353,6 @@ mod tests {
         assert_eq!(batch[0].id, SpanId(3));
         assert_eq!(cursor, 3);
         assert!(b.snapshot_since(cursor).0.is_empty());
-
-        // Eviction shifts nothing: positions count evicted spans too.
-        let b = SpanBuffer::bounded(2);
-        b.record(span(1, SpanKind::Fault));
-        let (_, cursor) = b.snapshot_since(0);
-        for i in 2..=4 {
-            b.record(span(i, SpanKind::Fault));
-        }
-        let (batch, _) = b.snapshot_since(cursor);
-        // Span 2 was evicted before this drain; 3 and 4 remain.
-        assert_eq!(batch.iter().map(|s| s.id.0).collect::<Vec<_>>(), vec![3, 4]);
     }
 
     #[test]

@@ -348,7 +348,7 @@ mod tests {
 
     #[test]
     fn pingpong_needs_two_nodes_and_enough_faults() {
-        let spans = SpanBuffer::enabled();
+        let spans = SpanBuffer::new(true);
         let mut t = telemetry_with(
             MonitorConfig {
                 pingpong_faults: 3,
@@ -377,7 +377,7 @@ mod tests {
 
     #[test]
     fn retry_storm_and_stall_fire_per_span_conditions() {
-        let spans = SpanBuffer::enabled();
+        let spans = SpanBuffer::new(true);
         let mut t = telemetry_with(
             MonitorConfig {
                 retry_storm: 2,
@@ -405,7 +405,7 @@ mod tests {
     #[test]
     fn fabric_buildup_uses_link_deltas_and_anchors_a_span() {
         let registry = MetricsRegistry::new(2);
-        let spans = SpanBuffer::enabled();
+        let spans = SpanBuffer::new(true);
         let mut t = Telemetry::new(
             Arc::clone(&registry),
             &TelemetryConfig {

@@ -22,15 +22,12 @@ use dex_sim::{SimChannel, SimCtx, SimDuration, ThreadId};
 
 use crate::directory::Requester;
 use crate::msg::{DelegatedOp, DexMsg, VmaOp};
-use crate::process::{DelegationJob, FaultEntry, MigrationSample, ProcessShared, Reply, WaitError};
+use crate::process::{
+    Counter, DelegationJob, FaultEntry, MigrationSample, ProcessShared, Reply, WaitError,
+};
 use crate::race::{RaceEvent, RaceEventKind};
-use crate::span::{Span, SpanId, SpanKind};
+use crate::span::{SpanId, SpanKind};
 use crate::trace::{FaultEvent, FaultKind};
-
-/// The wire form of an optional span id (0 encodes "no span").
-fn span_ctx(span: Option<SpanId>) -> SpanContext {
-    span.map_or(SpanContext::NONE, |s| SpanContext(s.0))
-}
 
 /// `EAGAIN`-style result of a futex wait whose word changed first.
 pub const FUTEX_EAGAIN: i64 = -11;
@@ -188,15 +185,13 @@ impl<'a> ThreadCtx<'a> {
     /// Records a semantic race event unconditionally (used by the
     /// synchronization primitives even inside [`ThreadCtx::sync_scope`]).
     pub(crate) fn record_sync_event(&self, kind: RaceEventKind) {
-        if self.shared.race.is_enabled() {
-            self.shared.race.record(RaceEvent {
-                time: self.sim.now(),
-                node: self.node.get(),
-                task: self.tid,
-                site: self.site.get(),
-                kind,
-            });
-        }
+        self.shared.race.record_with(|| RaceEvent {
+            time: self.sim.now(),
+            node: self.node.get(),
+            task: self.tid,
+            site: self.site.get(),
+            kind,
+        });
     }
 
     /// Records an access/futex event unless inside a sync primitive.
@@ -428,9 +423,14 @@ impl<'a> ThreadCtx<'a> {
                 self.site.get()
             );
         }
-        shared.stats.counters.incr("vma.syncs");
-        let t0 = self.sim.now();
-        let span = shared.spans.is_enabled().then(|| shared.spans.alloc_id());
+        shared.count(Counter::VmaSyncs, node);
+        let span = shared.spans.open(
+            SpanKind::VmaSync,
+            SpanId::NONE,
+            node,
+            self.tid,
+            self.sim.now(),
+        );
         let req_id = shared.new_req_id();
         let slot = shared.register_pending(self.sim, node, req_id);
         self.endpoint(node).send_traced(
@@ -441,7 +441,7 @@ impl<'a> ThreadCtx<'a> {
                 addr,
                 req_id,
             },
-            span_ctx(span),
+            span.context(),
         );
         match shared.wait_reply_watching(self.sim, &slot, node, req_id, None, false) {
             Err(WaitError::OwnNodeCrashed) => {
@@ -473,19 +473,7 @@ impl<'a> ThreadCtx<'a> {
             ),
             Ok(other) => unreachable!("vma request answered with {other:?}"),
         }
-        if let Some(id) = span {
-            shared.spans.record(Span {
-                id,
-                parent: SpanId::NONE,
-                kind: SpanKind::VmaSync,
-                node,
-                task: self.tid,
-                start: t0,
-                end: self.sim.now(),
-                label: "vma_pull",
-                tag: None,
-            });
-        }
+        span.close(self.sim.now(), "vma_pull");
     }
 
     fn page_fault(&self, vpn: Vpn, access: Access, addr: VirtAddr) {
@@ -494,8 +482,10 @@ impl<'a> ThreadCtx<'a> {
         let is_write = access.is_write();
         let ctx = self.sim;
 
-        let span_t0 = ctx.now();
-        let fault_span = shared.spans.is_enabled().then(|| shared.spans.alloc_id());
+        let mut fault_span =
+            shared
+                .spans
+                .open(SpanKind::Fault, SpanId::NONE, node, self.tid, ctx.now());
 
         ctx.advance(shared.cost.fault_entry);
 
@@ -516,38 +506,27 @@ impl<'a> ThreadCtx<'a> {
                 Entry::Vacant(v) => {
                     v.insert(FaultEntry {
                         followers: Vec::new(),
-                        leader_span: fault_span.map_or(0, |s| s.0),
+                        leader_span: fault_span.id().0,
                     });
                     true
                 }
             }
         };
         if !is_leader {
-            shared.stats.counters.incr("faults.coalesced");
-            if let Some(m) = &shared.metrics {
-                m.node(node).incr("dsm.faults_coalesced");
-            }
+            shared.count(Counter::FaultsCoalesced, node);
             ctx.park();
             // The follower's wait parents to the leader's fault span —
             // the coalescing relationship made visible in the timeline.
-            if let Some(id) = fault_span {
-                shared.spans.record(Span {
-                    id,
-                    parent: SpanId(leader_span),
-                    kind: SpanKind::FollowerWait,
-                    node,
-                    task: self.tid,
-                    start: span_t0,
-                    end: ctx.now(),
-                    label: "follower_wait",
-                    tag: None,
-                });
-            }
+            fault_span.update(|s| {
+                s.kind = SpanKind::FollowerWait;
+                s.parent = SpanId(leader_span);
+            });
+            fault_span.close(ctx.now(), "follower_wait");
             return; // the outer ensure() loop re-checks the updated PTE
         }
 
         let t0 = ctx.now();
-        let wire_span = span_ctx(fault_span);
+        let wire_span = fault_span.context();
         let mut rounds = 0u64;
         let mut origin_inline = false;
         loop {
@@ -566,30 +545,20 @@ impl<'a> ThreadCtx<'a> {
             if granted {
                 break;
             }
-            shared.stats.counters.incr("faults.retried");
-            if let Some(m) = &shared.metrics {
-                m.node(node).incr("dsm.faults_retried");
-            }
+            shared.count(Counter::FaultsRetried, node);
             // Deterministic per-thread jitter keeps retrying threads from
             // re-colliding in lockstep (the kernel's backoff has natural
             // jitter from scheduling).
-            let retry_t0 = ctx.now();
-            let retry_span = shared.spans.is_enabled().then(|| shared.spans.alloc_id());
+            let retry_span = shared.spans.open(
+                SpanKind::FaultRetry,
+                fault_span.id(),
+                node,
+                self.tid,
+                ctx.now(),
+            );
             let jitter = (self.tid.0 * 7_000 + rounds * 13_000) % 60_000;
             ctx.advance(shared.cost.retry_backoff + dex_sim::SimDuration::from_nanos(jitter));
-            if let Some(id) = retry_span {
-                shared.spans.record(Span {
-                    id,
-                    parent: fault_span.unwrap_or(SpanId::NONE),
-                    kind: SpanKind::FaultRetry,
-                    node,
-                    task: self.tid,
-                    start: retry_t0,
-                    end: ctx.now(),
-                    label: "retry_backoff",
-                    tag: None,
-                });
-            }
+            retry_span.close(ctx.now(), "retry_backoff");
         }
         ctx.advance(shared.cost.fault_fixup);
 
@@ -598,54 +567,34 @@ impl<'a> ThreadCtx<'a> {
         // not a consistency-protocol fault, and is reported separately.
         let minor = origin_inline && rounds == 1;
         if minor {
-            shared.stats.counters.incr("faults.minor");
+            shared.count(Counter::FaultsMinor, node);
         } else {
-            shared.stats.counters.incr(if is_write {
-                "faults.write"
+            let (counter, kind) = if is_write {
+                (Counter::FaultsWrite, FaultKind::Write)
             } else {
-                "faults.read"
-            });
+                (Counter::FaultsRead, FaultKind::Read)
+            };
+            shared.count(counter, node);
             shared.stats.fault_hist.record(ctx.now() - t0);
-            if let Some(m) = &shared.metrics {
-                m.node(node).incr(if is_write {
-                    "dsm.faults_write"
-                } else {
-                    "dsm.faults_read"
-                });
-            }
-            if shared.trace.is_enabled() {
-                shared.trace.record(FaultEvent {
-                    time: t0,
-                    node,
-                    task: self.tid,
-                    kind: if is_write {
-                        FaultKind::Write
-                    } else {
-                        FaultKind::Read
-                    },
-                    site: self.site.get(),
-                    addr,
-                    tag: shared.tag_for(node, addr),
-                });
-            }
-        }
-        if let Some(id) = fault_span {
-            shared.spans.record(Span {
-                id,
-                parent: SpanId::NONE,
-                kind: SpanKind::Fault,
+            shared.trace.record_with(|| FaultEvent {
+                time: t0,
                 node,
                 task: self.tid,
-                start: span_t0,
-                end: ctx.now(),
-                label: match (minor, is_write) {
-                    (true, _) => "minor_fault",
-                    (false, true) => "write_fault",
-                    (false, false) => "read_fault",
-                },
+                kind,
+                site: self.site.get(),
+                addr,
                 tag: shared.tag_for(node, addr),
             });
         }
+        fault_span.update(|s| s.tag = shared.tag_for(node, addr));
+        fault_span.close(
+            ctx.now(),
+            match (minor, is_write) {
+                (true, _) => "minor_fault",
+                (false, true) => "write_fault",
+                (false, false) => "read_fault",
+            },
+        );
 
         if coalesce {
             let followers = {
@@ -768,34 +717,29 @@ impl<'a> ThreadCtx<'a> {
     }
 
     fn futex_wait_inner(&self, addr: VirtAddr, expected: u32) -> i64 {
-        let shared = &self.shared;
-        let t0 = self.sim.now();
-        let span = shared.spans.is_enabled().then(|| shared.spans.alloc_id());
-        let result = self.futex_wait_dispatch(addr, expected, span_ctx(span));
-        if let Some(id) = span {
-            shared.spans.record(Span {
-                id,
-                parent: SpanId::NONE,
-                kind: SpanKind::FutexWait,
-                node: self.node.get(),
-                task: self.tid,
-                start: t0,
-                end: self.sim.now(),
-                label: if result == 0 {
-                    "futex_woken"
-                } else {
-                    "futex_eagain"
-                },
-                tag: None,
-            });
-        }
+        let mut span = self.shared.spans.open(
+            SpanKind::FutexWait,
+            SpanId::NONE,
+            self.node.get(),
+            self.tid,
+            self.sim.now(),
+        );
+        let result = self.futex_wait_dispatch(addr, expected, span.context());
+        // A crash may have re-homed the thread while it slept.
+        span.update(|s| s.node = self.node.get());
+        let label = if result == 0 {
+            "futex_woken"
+        } else {
+            "futex_eagain"
+        };
+        span.close(self.sim.now(), label);
         result
     }
 
     fn futex_wait_dispatch(&self, addr: VirtAddr, expected: u32, span: SpanContext) -> i64 {
         let shared = &self.shared;
-        shared.stats.counters.incr("futex.waits");
         let node = self.node.get();
+        shared.count(Counter::FutexWaits, node);
         if node == shared.origin {
             let req_id = shared.new_req_id();
             match futex_wait_at_origin(self, addr, expected, node, req_id) {
@@ -806,7 +750,7 @@ impl<'a> ThreadCtx<'a> {
                 },
             }
         } else {
-            shared.stats.counters.incr("delegations");
+            shared.count(Counter::Delegations, node);
             let req_id = shared.new_req_id();
             let slot = shared.register_pending(self.sim, node, req_id);
             self.endpoint(node).send_traced(
@@ -847,14 +791,19 @@ impl<'a> ThreadCtx<'a> {
     pub fn futex_wake(&self, addr: VirtAddr, count: u32) -> i64 {
         self.record_race_event(RaceEventKind::FutexWake { addr });
         let shared = &self.shared;
-        shared.stats.counters.incr("futex.wakes");
-        let t0 = self.sim.now();
-        let span = shared.spans.is_enabled().then(|| shared.spans.alloc_id());
         let node = self.node.get();
+        shared.count(Counter::FutexWakes, node);
+        let span = shared.spans.open(
+            SpanKind::FutexWake,
+            SpanId::NONE,
+            node,
+            self.tid,
+            self.sim.now(),
+        );
         let result = if node == shared.origin {
             futex_wake_at_origin(self.sim, shared, addr, count)
         } else {
-            shared.stats.counters.incr("delegations");
+            shared.count(Counter::Delegations, node);
             let req_id = shared.new_req_id();
             let slot = shared.register_pending(self.sim, node, req_id);
             self.endpoint(node).send_traced(
@@ -866,7 +815,7 @@ impl<'a> ThreadCtx<'a> {
                     op: DelegatedOp::FutexWake { addr, count },
                     req_id,
                 },
-                span_ctx(span),
+                span.context(),
             );
             match shared.wait_reply_watching(self.sim, &slot, node, req_id, None, false) {
                 Ok(Reply::Delegate(result)) => result,
@@ -881,19 +830,7 @@ impl<'a> ThreadCtx<'a> {
                 Err(WaitError::PeerCrashed(p)) => unreachable!("unwatched peer {p}"),
             }
         };
-        if let Some(id) = span {
-            shared.spans.record(Span {
-                id,
-                parent: SpanId::NONE,
-                kind: SpanKind::FutexWake,
-                node,
-                task: self.tid,
-                start: t0,
-                end: self.sim.now(),
-                label: "futex_wake",
-                tag: None,
-            });
-        }
+        span.close(self.sim.now(), "futex_wake");
         result
     }
 
@@ -1085,12 +1022,8 @@ impl<'a> ThreadCtx<'a> {
                 }
             }
         }
-        shared.stats.counters.add("prefetch.pages", granted);
-        shared.stats.counters.add("prefetch.denied", denied);
-        if let Some(m) = &shared.metrics {
-            m.node(node).add("prefetch.pages", granted);
-            m.node(node).add("prefetch.denied", denied);
-        }
+        shared.count_by(Counter::PrefetchPages, node, granted);
+        shared.count_by(Counter::PrefetchDenied, node, denied);
     }
 
     /// Picks the thread up off its fail-stopped node and re-homes it to
@@ -1101,9 +1034,9 @@ impl<'a> ThreadCtx<'a> {
     /// run on behalf of another thread.
     fn rehome_after_crash(&self) {
         let shared = &self.shared;
-        shared.stats.counters.incr("migrations.crash_rehomed");
-        shared.maybe_handle_crashes(self.sim);
         let old = self.node.get();
+        shared.count(Counter::CrashRehomed, old);
+        shared.maybe_handle_crashes(self.sim);
         shared.adjust_load(old, -1);
         shared.adjust_load(shared.origin, 1);
         self.node.set(shared.origin);
@@ -1113,8 +1046,11 @@ impl<'a> ThreadCtx<'a> {
         let shared = &self.shared;
         let ctx = self.sim;
         let t0 = ctx.now();
-        let span = shared.spans.is_enabled().then(|| shared.spans.alloc_id());
-        shared.stats.counters.incr("migrations.forward");
+        let node = self.node.get();
+        let span = shared
+            .spans
+            .open(SpanKind::MigrationForward, SpanId::NONE, node, self.tid, t0);
+        shared.count(Counter::MigrationsForward, node);
 
         // Origin side: capture the execution context; the first migration
         // of a thread also builds its per-thread migration structures.
@@ -1127,7 +1063,6 @@ impl<'a> ThreadCtx<'a> {
 
         let context = self.synthesize_context();
         let req_id = shared.new_req_id();
-        let node = self.node.get();
         let slot = shared.register_pending(ctx, node, req_id);
         self.endpoint(node).send_traced(
             ctx,
@@ -1138,7 +1073,7 @@ impl<'a> ThreadCtx<'a> {
                 context,
                 req_id,
             },
-            span_ctx(span),
+            span.context(),
         );
         let phases = match shared.wait_reply_watching(ctx, &slot, node, req_id, Some(dst), false) {
             Ok(Reply::MigrateAck(phases)) => phases,
@@ -1146,7 +1081,7 @@ impl<'a> ThreadCtx<'a> {
             Err(WaitError::PeerCrashed(node)) => {
                 // The destination died before acking: the thread never
                 // left the origin, so it simply stays put.
-                shared.stats.counters.incr("migrations.dest_crashed");
+                shared.count(Counter::DestCrashed, node);
                 return Err(MigrateError::NodeCrashed { node });
             }
             Err(WaitError::OwnNodeCrashed) => {
@@ -1169,23 +1104,12 @@ impl<'a> ThreadCtx<'a> {
             total: ctx.now() - t0,
             phases,
         });
-        if let Some(id) = span {
-            shared.spans.record(Span {
-                id,
-                parent: SpanId::NONE,
-                kind: SpanKind::MigrationForward,
-                node,
-                task: self.tid,
-                start: t0,
-                end: ctx.now(),
-                label: if first_on_node {
-                    "first_on_node"
-                } else {
-                    "worker_reused"
-                },
-                tag: None,
-            });
-        }
+        let label = if first_on_node {
+            "first_on_node"
+        } else {
+            "worker_reused"
+        };
+        span.close(ctx.now(), label);
         Ok(())
     }
 
@@ -1200,8 +1124,10 @@ impl<'a> ThreadCtx<'a> {
             return;
         }
         let t0 = ctx.now();
-        let span = shared.spans.is_enabled().then(|| shared.spans.alloc_id());
-        shared.stats.counters.incr("migrations.backward");
+        let span = shared
+            .spans
+            .open(SpanKind::MigrationBack, SpanId::NONE, node, self.tid, t0);
+        shared.count(Counter::MigrationsBackward, node);
         ctx.advance(shared.cost.backward_capture);
 
         let req_id = shared.new_req_id();
@@ -1215,7 +1141,7 @@ impl<'a> ThreadCtx<'a> {
                 context: self.synthesize_context(),
                 req_id,
             },
-            span_ctx(span),
+            span.context(),
         );
         match shared.wait_reply_watching(ctx, &slot, node, req_id, None, false) {
             Ok(Reply::MigrateBackAck) => {}
@@ -1239,19 +1165,7 @@ impl<'a> ThreadCtx<'a> {
             total: ctx.now() - t0,
             phases: vec![("capture", shared.cost.backward_capture)],
         });
-        if let Some(id) = span {
-            shared.spans.record(Span {
-                id,
-                parent: SpanId::NONE,
-                kind: SpanKind::MigrationBack,
-                node,
-                task: self.tid,
-                start: t0,
-                end: ctx.now(),
-                label: "migrate_back",
-                tag: None,
-            });
-        }
+        span.close(ctx.now(), "migrate_back");
     }
 
     /// Builds a deterministic register file for the context transfer so
@@ -1335,23 +1249,17 @@ impl<'a> ThreadCtx<'a> {
     }
 
     fn delegate(&self, op: DelegatedOp) -> i64 {
-        let shared = &self.shared;
-        let t0 = self.sim.now();
-        let span = shared.spans.is_enabled().then(|| shared.spans.alloc_id());
-        let result = self.delegate_inner(&op, span_ctx(span));
-        if let Some(id) = span {
-            shared.spans.record(Span {
-                id,
-                parent: SpanId::NONE,
-                kind: SpanKind::Delegation,
-                node: self.node.get(),
-                task: self.tid,
-                start: t0,
-                end: self.sim.now(),
-                label: "delegate",
-                tag: None,
-            });
-        }
+        let mut span = self.shared.spans.open(
+            SpanKind::Delegation,
+            SpanId::NONE,
+            self.node.get(),
+            self.tid,
+            self.sim.now(),
+        );
+        let result = self.delegate_inner(&op, span.context());
+        // A crash may have re-homed the thread mid-delegation.
+        span.update(|s| s.node = self.node.get());
+        span.close(self.sim.now(), "delegate");
         result
     }
 
@@ -1365,7 +1273,7 @@ impl<'a> ThreadCtx<'a> {
                 // thread would.
                 return self.run_delegated_locally(op);
             }
-            shared.stats.counters.incr("delegations");
+            shared.count(Counter::Delegations, node);
             let req_id = shared.new_req_id();
             let slot = shared.register_pending(self.sim, node, req_id);
             self.endpoint(node).send_traced(
@@ -1633,7 +1541,7 @@ fn broadcast_vma_op(ctx: &SimCtx, shared: &Arc<ProcessShared>, op: VmaOp) {
     if peers.is_empty() {
         return;
     }
-    shared.stats.counters.incr("vma.broadcasts");
+    shared.count(Counter::VmaBroadcasts, shared.origin);
     let req_id = shared.new_req_id();
     let slot = shared.register_pending_broadcast(ctx, shared.origin, req_id, &peers);
     let endpoint = shared.fabric.endpoint(shared.origin);
@@ -1670,8 +1578,13 @@ fn pair_thread_loop(
     let tctx = ThreadCtx::new(ctx, Arc::clone(&shared), tid);
     let endpoint = shared.fabric.endpoint(shared.origin);
     while let Some(job) = chan.recv(ctx) {
-        let t0 = ctx.now();
-        let service = shared.spans.is_enabled().then(|| shared.spans.alloc_id());
+        let service = shared.spans.open(
+            SpanKind::DelegationService,
+            SpanId(job.span.0),
+            shared.origin,
+            tid,
+            ctx.now(),
+        );
         let reply = match job.op {
             DelegatedOp::FutexWait { addr, expected } => {
                 match futex_wait_at_origin(&tctx, addr, expected, job.from, job.req_id) {
@@ -1713,19 +1626,7 @@ fn pair_thread_loop(
                 Some(0)
             }
         };
-        if let Some(id) = service {
-            shared.spans.record(Span {
-                id,
-                parent: SpanId(job.span.0),
-                kind: SpanKind::DelegationService,
-                node: shared.origin,
-                task: tid,
-                start: t0,
-                end: ctx.now(),
-                label: "delegation_service",
-                tag: None,
-            });
-        }
+        service.close(ctx.now(), "delegation_service");
         if let Some(result) = reply {
             endpoint.send_traced(
                 ctx,

@@ -1,5 +1,10 @@
-//! Page-fault trace collection (the in-kernel half of the profiling
-//! toolchain, §IV-A).
+//! Capture logs and the page-fault trace (the in-kernel half of the
+//! profiling toolchain, §IV-A).
+//!
+//! Every opt-in capture of a run — this fault trace, the causal spans
+//! ([`SpanBuffer`](crate::SpanBuffer)) and the race events
+//! ([`RaceTrace`](crate::RaceTrace)) — appends to one kind of buffer, a
+//! [`CaptureLog`].
 //!
 //! When tracing is enabled, every fault that enters the DEX memory
 //! consistency protocol appends one [`FaultEvent`] — the paper's
@@ -58,11 +63,80 @@ pub struct FaultEvent {
     pub tag: Option<String>,
 }
 
-/// A shared, append-only buffer of fault events.
+/// A shared, opt-in, append-only log of capture records.
 ///
-/// Cloning shares the buffer. Collection is cheap when disabled (one
-/// atomic-free boolean check under the same mutex the protocol already
-/// holds is avoided entirely — the flag is checked first).
+/// Cloning shares the log. A disabled log holds no buffer at all, so
+/// recording into it costs one branch, and [`CaptureLog::record_with`]
+/// does not even build the record.
+#[derive(Clone, Debug)]
+pub struct CaptureLog<T> {
+    records: Option<Arc<Mutex<Vec<T>>>>,
+}
+
+impl<T: Clone> CaptureLog<T> {
+    /// A log that records when `enabled`, and drops everything otherwise.
+    pub fn new(enabled: bool) -> Self {
+        CaptureLog {
+            records: enabled.then(Arc::default),
+        }
+    }
+
+    /// Whether recording is active.
+    pub fn is_enabled(&self) -> bool {
+        self.records.is_some()
+    }
+
+    /// Appends a record (no-op when disabled).
+    pub fn record(&self, record: T) {
+        self.record_with(|| record);
+    }
+
+    /// Appends the record `make` builds; `make` runs only when enabled.
+    pub fn record_with(&self, make: impl FnOnce() -> T) {
+        if let Some(records) = &self.records {
+            records.lock().push(make());
+        }
+    }
+
+    /// A copy of all records in record order.
+    pub fn snapshot(&self) -> Vec<T> {
+        self.snapshot_since(0).0
+    }
+
+    /// Copies the records at position `from` or later and returns them
+    /// with the next cursor value, letting a consumer stream the log
+    /// incrementally:
+    ///
+    /// ```
+    /// # use dex_core::CaptureLog;
+    /// let log = CaptureLog::new(true);
+    /// log.record(1);
+    /// let (batch, cursor) = log.snapshot_since(0);
+    /// assert_eq!(batch, [1]);
+    /// log.record(2);
+    /// assert_eq!(log.snapshot_since(cursor), (vec![2], 2));
+    /// ```
+    pub fn snapshot_since(&self, from: u64) -> (Vec<T>, u64) {
+        let Some(records) = &self.records else {
+            return (Vec::new(), 0);
+        };
+        let records = records.lock();
+        let from = (from as usize).min(records.len());
+        (records[from..].to_vec(), records.len() as u64)
+    }
+
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.records.as_ref().map_or(0, |r| r.lock().len())
+    }
+
+    /// Returns `true` if nothing was recorded.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+/// The shared buffer of fault events.
 ///
 /// # Examples
 ///
@@ -72,7 +146,7 @@ pub struct FaultEvent {
 /// use dex_os::{Tid, VirtAddr};
 /// use dex_sim::SimTime;
 ///
-/// let trace = TraceBuffer::enabled();
+/// let trace = TraceBuffer::new(true);
 /// trace.record(FaultEvent {
 ///     time: SimTime::ZERO,
 ///     node: NodeId(1),
@@ -84,119 +158,7 @@ pub struct FaultEvent {
 /// });
 /// assert_eq!(trace.snapshot().len(), 1);
 /// ```
-#[derive(Clone)]
-pub struct TraceBuffer {
-    enabled: bool,
-    inner: Arc<Mutex<TraceInner>>,
-}
-
-#[derive(Default)]
-struct TraceInner {
-    events: std::collections::VecDeque<FaultEvent>,
-    /// `None` means unbounded.
-    capacity: Option<usize>,
-    /// Events evicted because the buffer was at capacity.
-    dropped: u64,
-}
-
-impl TraceBuffer {
-    /// A buffer that records events without bound.
-    pub fn enabled() -> Self {
-        TraceBuffer {
-            enabled: true,
-            inner: Arc::new(Mutex::new(TraceInner::default())),
-        }
-    }
-
-    /// A buffer that records at most `capacity` events, evicting the
-    /// oldest record on overflow (drop-oldest ring semantics). The number
-    /// of evicted events is reported by [`TraceBuffer::dropped`].
-    pub fn bounded(capacity: usize) -> Self {
-        TraceBuffer {
-            enabled: true,
-            inner: Arc::new(Mutex::new(TraceInner {
-                capacity: Some(capacity),
-                ..TraceInner::default()
-            })),
-        }
-    }
-
-    /// A buffer that drops everything (production mode).
-    pub fn disabled() -> Self {
-        TraceBuffer {
-            enabled: false,
-            inner: Arc::new(Mutex::new(TraceInner::default())),
-        }
-    }
-
-    /// Whether recording is active.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Appends an event (no-op when disabled). When the buffer is at its
-    /// capacity bound, the oldest event is evicted first.
-    pub fn record(&self, event: FaultEvent) {
-        if self.enabled {
-            let mut inner = self.inner.lock();
-            if let Some(cap) = inner.capacity {
-                if cap == 0 {
-                    inner.dropped += 1;
-                    return;
-                }
-                while inner.events.len() >= cap {
-                    inner.events.pop_front();
-                    inner.dropped += 1;
-                }
-            }
-            inner.events.push_back(event);
-        }
-    }
-
-    /// A copy of all recorded events in record order.
-    pub fn snapshot(&self) -> Vec<FaultEvent> {
-        self.inner.lock().events.iter().cloned().collect()
-    }
-
-    /// Discards all recorded events (recording stays enabled). Also
-    /// resets the dropped-events counter, so phase-scoped collection can
-    /// `clear()` between phases and account each phase independently.
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock();
-        inner.events.clear();
-        inner.dropped = 0;
-    }
-
-    /// Number of events evicted by the capacity bound since the last
-    /// [`TraceBuffer::clear`] (always 0 for unbounded buffers).
-    pub fn dropped(&self) -> u64 {
-        self.inner.lock().dropped
-    }
-
-    /// The capacity bound, or `None` when unbounded.
-    pub fn capacity(&self) -> Option<usize> {
-        self.inner.lock().capacity
-    }
-
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.inner.lock().events.len()
-    }
-
-    /// Returns `true` if nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.inner.lock().events.is_empty()
-    }
-}
-
-impl std::fmt::Debug for TraceBuffer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TraceBuffer")
-            .field("enabled", &self.enabled)
-            .field("events", &self.len())
-            .finish()
-    }
-}
+pub type TraceBuffer = CaptureLog<FaultEvent>;
 
 #[cfg(test)]
 mod tests {
@@ -216,7 +178,7 @@ mod tests {
 
     #[test]
     fn enabled_buffer_records_in_order() {
-        let t = TraceBuffer::enabled();
+        let t = TraceBuffer::new(true);
         t.record(event(FaultKind::Read));
         t.record(event(FaultKind::Write));
         let snap = t.snapshot();
@@ -227,7 +189,7 @@ mod tests {
 
     #[test]
     fn disabled_buffer_drops_events() {
-        let t = TraceBuffer::disabled();
+        let t = TraceBuffer::new(false);
         t.record(event(FaultKind::Read));
         assert!(t.is_empty());
         assert!(!t.is_enabled());
@@ -235,53 +197,9 @@ mod tests {
 
     #[test]
     fn clones_share_the_buffer() {
-        let t = TraceBuffer::enabled();
+        let t = TraceBuffer::new(true);
         let t2 = t.clone();
         t2.record(event(FaultKind::Invalidate));
         assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn clear_discards_events_but_keeps_recording() {
-        let t = TraceBuffer::enabled();
-        t.record(event(FaultKind::Read));
-        t.record(event(FaultKind::Write));
-        assert_eq!(t.len(), 2);
-        t.clear();
-        assert!(t.is_empty());
-        assert!(t.is_enabled());
-        t.record(event(FaultKind::Invalidate));
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.snapshot()[0].kind, FaultKind::Invalidate);
-    }
-
-    #[test]
-    fn bounded_buffer_drops_oldest_and_counts() {
-        let t = TraceBuffer::bounded(2);
-        assert_eq!(t.capacity(), Some(2));
-        t.record(event(FaultKind::Read));
-        t.record(event(FaultKind::Write));
-        assert_eq!(t.dropped(), 0);
-        t.record(event(FaultKind::Invalidate));
-        assert_eq!(t.len(), 2, "capacity bound holds");
-        assert_eq!(t.dropped(), 1, "oldest event was evicted");
-        let snap = t.snapshot();
-        assert_eq!(
-            snap[0].kind,
-            FaultKind::Write,
-            "Read was the eviction victim"
-        );
-        assert_eq!(snap[1].kind, FaultKind::Invalidate);
-        t.clear();
-        assert_eq!(t.dropped(), 0, "clear resets the dropped counter");
-        assert_eq!(t.capacity(), Some(2), "clear keeps the bound");
-    }
-
-    #[test]
-    fn zero_capacity_buffer_counts_everything_as_dropped() {
-        let t = TraceBuffer::bounded(0);
-        t.record(event(FaultKind::Read));
-        assert!(t.is_empty());
-        assert_eq!(t.dropped(), 1);
     }
 }

@@ -35,26 +35,38 @@ fn run_workload(cfg: ClusterConfig) -> RunReport {
 
 #[test]
 fn schedule_is_bit_identical_with_and_without_instrumentation() {
-    let base = run_workload(ClusterConfig::new(2).with_schedule_recording());
-    let instrumented = run_workload(
-        ClusterConfig::new(2)
-            .with_schedule_recording()
-            .with_spans()
-            .with_metrics(),
-    );
-    let plain = base.schedule.expect("schedule recorded");
-    let traced = instrumented.schedule.expect("schedule recorded");
-    assert!(!plain.is_empty());
-    assert_eq!(
-        plain, traced,
-        "enabling spans+metrics must not perturb the schedule by one byte"
-    );
-    assert!(base.spans.is_empty(), "spans off records nothing");
-    assert!(
-        !instrumented.spans.is_empty(),
-        "spans on records the timeline"
-    );
-    assert_eq!(base.virtual_time, instrumented.virtual_time);
+    let sharded = || ClusterConfig::new(4).with_directory_shards(2);
+    for (bare, with_capture) in [
+        (
+            ClusterConfig::new(2),
+            ClusterConfig::new(2).with_spans().with_metrics(),
+        ),
+        (
+            sharded(),
+            sharded()
+                .with_trace()
+                .with_spans()
+                .with_metrics()
+                .with_race_detection(),
+        ),
+    ] {
+        let nodes = bare.nodes;
+        let base = run_workload(bare.with_schedule_recording());
+        let instrumented = run_workload(with_capture.with_schedule_recording());
+        let plain = base.schedule.expect("schedule recorded");
+        let traced = instrumented.schedule.expect("schedule recorded");
+        assert!(!plain.is_empty());
+        assert_eq!(
+            plain, traced,
+            "{nodes} nodes: enabling capture must not perturb the schedule by one byte"
+        );
+        assert!(base.spans.is_empty(), "spans off records nothing");
+        assert!(
+            !instrumented.spans.is_empty(),
+            "spans on records the timeline"
+        );
+        assert_eq!(base.virtual_time, instrumented.virtual_time);
+    }
 }
 
 #[test]

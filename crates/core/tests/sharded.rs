@@ -3,7 +3,8 @@
 //! (owner-forwarded) protocol with batched invalidation fan-out, and
 //! both replay deterministically with consistent directories.
 
-use dex_core::{Cluster, ClusterConfig, RunReport};
+use dex_core::{Access, Cluster, ClusterConfig, Counter, FaultKind, RunReport};
+use dex_sim::SimRng;
 
 /// The fault-suite fingerprint: virtual time, the full counter set, and
 /// the fault trace.
@@ -159,5 +160,100 @@ fn sharded_barrier_completes_with_its_words_updated() {
         };
         assert_eq!(read(count), 0, "{shards} shards: count reset");
         assert_eq!(read(generation), 1, "{shards} shards: one generation");
+    }
+}
+
+/// Six threads on nodes 1–3 read and write random pages of an 8-page
+/// table (about one op in three is a write), with a barrier between
+/// rounds. Each thread first prefetches the table. Under a sharded
+/// directory a home's revocation often overtakes a grant still in flight
+/// to the revoked node, which then defers it.
+fn random_access_workload(config: ClusterConfig, seed: u64) -> RunReport {
+    const THREADS: u64 = 6;
+    const PAGES: u64 = 8;
+    let mut rng = SimRng::new(seed);
+    let streams: Vec<Vec<Vec<(bool, usize)>>> = (0..THREADS)
+        .map(|t| {
+            let mut rng = rng.fork(t);
+            (0..6)
+                .map(|_| {
+                    (0..12)
+                        .map(|_| (rng.gen_range(0..3) == 0, rng.gen_range(0..PAGES) as usize))
+                        .collect()
+                })
+                .collect()
+        })
+        .collect();
+    Cluster::new(config).run(|p| {
+        let table = p.alloc_vec_aligned::<u64>(PAGES as usize * 512, "random_table");
+        let barrier = p.new_barrier(THREADS as u32, "round");
+        for (t, rounds) in streams.into_iter().enumerate() {
+            p.spawn(move |ctx| {
+                ctx.migrate(1 + t as u16 / 2).unwrap();
+                ctx.prefetch(table.addr(), PAGES * 4096, Access::Read);
+                for (r, ops) in rounds.iter().enumerate() {
+                    for &(write, page) in ops {
+                        if write {
+                            table.set(ctx, page * 512, r as u64);
+                        } else {
+                            let _ = table.get(ctx, page * 512);
+                        }
+                    }
+                    barrier.wait(ctx);
+                }
+            });
+        }
+    })
+}
+
+#[test]
+fn deferred_revocations_are_traced_like_every_other() {
+    for shards in [2, 4] {
+        let config = ClusterConfig::new(4)
+            .with_directory_shards(shards)
+            .with_trace();
+        let report = random_access_workload(config, 3);
+        let counters = &report.process().stats.counters;
+        assert!(
+            counters.get("protocol.deferred_work") > 0,
+            "{shards} shards: the workload must defer revocations"
+        );
+        let traced = report
+            .trace
+            .iter()
+            .filter(|e| e.kind == FaultKind::Invalidate)
+            .count() as u64;
+        assert_eq!(
+            traced, report.stats.invalidations,
+            "{shards} shards: one trace event per counted invalidation"
+        );
+    }
+}
+
+#[test]
+fn per_node_metrics_sum_to_the_process_counters() {
+    let config = ClusterConfig::new(4)
+        .with_directory_shards(2)
+        .with_metrics();
+    let report = random_access_workload(config, 3);
+    let metrics = report.metrics.as_ref().expect("metrics on");
+    let counters = &report.process().stats.counters;
+    for &counter in Counter::ALL {
+        let Some(node_key) = counter.node_key() else {
+            continue;
+        };
+        let per_node: u64 = metrics
+            .per_node
+            .iter()
+            .flatten()
+            .filter(|(name, _)| name == node_key)
+            .map(|(_, v)| v)
+            .sum();
+        assert_eq!(
+            counters.get(counter.key()),
+            per_node,
+            "{} vs the sum of {node_key}",
+            counter.key()
+        );
     }
 }

@@ -18,11 +18,9 @@
 //! `\r` for the structural characters, `\-` for a literal `-` tag (so it
 //! is not confused with the "no tag" sentinel), and `\e` for the empty
 //! string (so a trailing empty field survives whitespace trimming).
-//! Traces captured through a bounded [`TraceBuffer`] may have evicted
-//! events; [`encode_trace_with_dropped`] records the eviction count as a
+//! A producer that keeps only part of a trace can say how many events it
+//! left out: [`encode_trace_with_dropped`] records that count as a
 //! `# dropped N` line and [`decode_trace_with_dropped`] surfaces it.
-//!
-//! [`TraceBuffer`]: dex_core::TraceBuffer
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -61,10 +59,9 @@ pub fn encode_trace(events: &[FaultEvent]) -> String {
     encode_trace_with_dropped(events, 0)
 }
 
-/// Like [`encode_trace`], additionally recording how many events were
-/// evicted by a bounded capture buffer (see
-/// [`TraceBuffer::dropped`](dex_core::TraceBuffer::dropped)) as a
-/// `# dropped N` line so offline analysis knows the trace is partial.
+/// Like [`encode_trace`], additionally recording how many events the
+/// producer left out as a `# dropped N` line so offline analysis knows
+/// the trace is partial.
 pub fn encode_trace_with_dropped(events: &[FaultEvent], dropped: u64) -> String {
     let mut out = String::with_capacity(events.len() * 48 + TRACE_HEADER.len() + 1);
     out.push_str(TRACE_HEADER);
@@ -111,7 +108,7 @@ pub fn decode_trace(text: &str) -> Result<Vec<FaultEvent>, String> {
     decode_trace_with_dropped(text).map(|(events, _)| events)
 }
 
-/// Like [`decode_trace`], also returning the capture-time eviction count
+/// Like [`decode_trace`], also returning the dropped-event count
 /// recorded by [`encode_trace_with_dropped`] (0 when absent).
 pub fn decode_trace_with_dropped(text: &str) -> Result<(Vec<FaultEvent>, u64), String> {
     let mut lines = text.lines().enumerate();

@@ -27,10 +27,8 @@ pub fn encode_spans(spans: &[Span]) -> String {
     encode_spans_with_dropped(spans, 0)
 }
 
-/// Like [`encode_spans`], additionally recording how many spans a bounded
-/// capture buffer evicted (see
-/// [`SpanBuffer::dropped`](dex_core::SpanBuffer::dropped)) as a
-/// `# dropped N` line.
+/// Like [`encode_spans`], additionally recording how many spans the
+/// producer left out as a `# dropped N` line.
 pub fn encode_spans_with_dropped(spans: &[Span], dropped: u64) -> String {
     let mut out = String::with_capacity(spans.len() * 64 + SPANS_HEADER.len() + 1);
     out.push_str(SPANS_HEADER);
@@ -63,7 +61,7 @@ pub fn decode_spans(text: &str) -> Result<Vec<Span>, String> {
     decode_spans_with_dropped(text).map(|(spans, _)| spans)
 }
 
-/// Like [`decode_spans`], also returning the capture-time eviction count
+/// Like [`decode_spans`], also returning the dropped-span count
 /// recorded by [`encode_spans_with_dropped`] (0 when absent).
 pub fn decode_spans_with_dropped(text: &str) -> Result<(Vec<Span>, u64), String> {
     let mut lines = text.lines().enumerate();
